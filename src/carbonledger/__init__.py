@@ -15,9 +15,9 @@ from .carbon import (
     load_intensity_registry,
 )
 from .energy import EnergyResult, RunParams, average_power, closed_form_energy, integrate_energy
-from .forecast import Forecast, PhaseSummary, predict, refine
+from .forecast import Forecast, PhaseSummary, phase_summaries, predict, refine
 from .ledger import ExperimentRecord, append_record, compare, read_records, render_report
-from .probe import PowerSample, Probe, ProbeDescriptor, ProbeKind, open_probe, read_sample
+from .probe import PowerSample, Probe, ProbeDescriptor, ProbeKind, open_probe
 from .sampler import EpochEvent, EventKind, SampleLog, parse_events, run_sampler, slice_phase
 
 __version__ = "0.1.0"
@@ -49,9 +49,9 @@ __all__ = [
     "load_intensity_registry",
     "open_probe",
     "parse_events",
+    "phase_summaries",
     "predict",
     "read_records",
-    "read_sample",
     "refine",
     "render_report",
     "run_sampler",

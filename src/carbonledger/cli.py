@@ -8,9 +8,10 @@ child's exit code.
 
 Exit codes: 0 success, 1 child/workload failure, 2 usage or config error.
 
-Config precedence everywhere: flags > environment variables > config
-file > built-in defaults. The config file is flat ``key = value`` text
-(keys: label, region, pue, interval_ms, probe, ledger, events, registry,
+Config precedence everywhere: flags > environment variables (only the
+ledger, registry and events keys have one) > config file > built-in
+defaults. The config file is flat ``key = value`` text (keys: label,
+region, pue, interval_ms, probe, ledger, events, registry,
 planned_epochs, car_factor).
 """
 
@@ -26,19 +27,16 @@ import tempfile
 import uuid
 from pathlib import Path
 
-from . import carbon, energy, forecast, ledger, sampler
-from .errors import (
-    BackendUnavailable,
-    CarbonLedgerError,
-    EmptySelection,
-    TraceParseError,
-    UnknownPhase,
-)
+from . import carbon, energy, forecast, ledger
+from .errors import BackendUnavailable, CarbonLedgerError
 from .probe import Probe, ProbeDescriptor, ProbeKind, open_probe
-from .sampler import EVENTS_ENV, EventKind, SampleLog, run_sampler, slice_phase
+from .sampler import EVENTS_ENV, SampleLog, run_sampler
 
 LEDGER_ENV = "CARBONLEDGER_LEDGER"
 REGISTRY_ENV = "CARBONLEDGER_REGISTRY"
+
+# The only keys an environment variable can set.
+_ENV_KEYS = {"ledger": LEDGER_ENV, "registry": REGISTRY_ENV, "events": EVENTS_ENV}
 
 _DEFAULTS = {
     "label": "run",
@@ -90,14 +88,14 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _resolve(flag, env_name: str | None, config: dict[str, str], key: str, cast=str):
+def _resolve(flag, config: dict[str, str], key: str):
+    """The flag, else the key's environment variable, else config, else default."""
     if flag is not None:
         return flag
+    env_name = _ENV_KEYS.get(key)
     if env_name and os.environ.get(env_name):
-        return cast(os.environ[env_name])
-    if key in config:
-        return cast(config[key])
-    return _DEFAULTS.get(key)
+        return os.environ[env_name]
+    return config.get(key, _DEFAULTS.get(key))
 
 
 def _open_probes(specs: list[str], fallbacks: list[str]) -> list[Probe]:
@@ -120,57 +118,17 @@ def _open_probes(specs: list[str], fallbacks: list[str]) -> list[Probe]:
     return probes
 
 
-def _phase_summaries(
-    log: SampleLog, pue: float, grams: float
-) -> tuple[forecast.PhaseSummary | None, list[forecast.PhaseSummary]]:
-    """Setup plus one summary per completed epoch, from boundary slices."""
-
-    def summarize(phase: str, name: str) -> forecast.PhaseSummary:
-        window = sampler.phase_window(log, phase)
-        part = slice_phase(log, phase)
-        kwh = energy.integrate_energy(part, pue).facility_kwh
-        return forecast.PhaseSummary(
-            phase_name=name,
-            duration_hours=(window[1] - window[0]) / energy.MS_PER_HOUR,
-            facility_kwh=kwh,
-            co2e_kg=carbon.co2e(kwh, grams),
-        )
-
-    setup = None
-    try:
-        setup = summarize("setup", "setup")
-    except UnknownPhase:
-        pass
-    epochs = []
-    for k in range(1, log.epochs_completed() + 1):
-        try:
-            epochs.append(summarize(f"epoch:{k}", f"epoch {k}"))
-        except UnknownPhase:
-            break
-    return setup, epochs
-
-
-def _duration_hours(log: SampleLog) -> float:
-    starts = log.events_of(EventKind.TRAIN_START)
-    ends = log.events_of(EventKind.TRAIN_END)
-    if starts and ends:
-        return (ends[0].timestamp_ms - starts[0].timestamp_ms) / energy.MS_PER_HOUR
-    if len(log.samples) >= 2:
-        return (log.samples[-1].timestamp_ms - log.samples[0].timestamp_ms) / energy.MS_PER_HOUR
-    return 0.0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config_file(args.config) if args.config else {}
-    label = _resolve(args.label, None, config, "label")
-    region = _resolve(args.region, None, config, "region")
-    pue = float(_resolve(args.pue, None, config, "pue", float))
-    interval_ms = int(_resolve(args.interval_ms, None, config, "interval_ms", int))
-    ledger_path = _resolve(args.ledger, LEDGER_ENV, config, "ledger")
-    registry_path = _resolve(args.registry, REGISTRY_ENV, config, "registry")
-    planned_epochs = int(_resolve(args.planned_epochs, None, config, "planned_epochs", int))
-    car_factor = float(_resolve(args.car_factor, None, config, "car_factor", float))
-    events_path = _resolve(args.events, EVENTS_ENV, config, "events")
+    label = _resolve(args.label, config, "label")
+    region = _resolve(args.region, config, "region")
+    pue = float(_resolve(args.pue, config, "pue"))
+    interval_ms = int(_resolve(args.interval_ms, config, "interval_ms"))
+    ledger_path = _resolve(args.ledger, config, "ledger")
+    registry_path = _resolve(args.registry, config, "registry")
+    planned_epochs = int(_resolve(args.planned_epochs, config, "planned_epochs"))
+    car_factor = float(_resolve(args.car_factor, config, "car_factor"))
+    events_path = _resolve(args.events, config, "events")
     if events_path is None:
         fd, events_path = tempfile.mkstemp(prefix="carbonledger-", suffix=".events")
         os.close(fd)
@@ -193,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         probes = _open_probes(probe_specs, args.fallback_probe or [])
-    except (BackendUnavailable, TraceParseError, ValueError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
@@ -205,6 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     env = dict(os.environ)
     env[EVENTS_ENV] = str(events_path)
+    started_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     try:
         child = subprocess.Popen(args.child, env=env)
     except OSError as exc:
@@ -225,9 +184,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     def maybe_forecast(snapshot: SampleLog) -> None:
         nonlocal early
-        if early is not None or snapshot.epochs_completed() < 1:
+        if early is not None:
             return
-        setup, epochs = _phase_summaries(snapshot, pue, intensity.grams_per_kwh)
+        setup, epochs = forecast.phase_summaries(snapshot, pue, intensity)
         if not epochs:
             return
         early = forecast.predict(epochs[:1], setup, max(planned_epochs, 1), intensity)
@@ -251,7 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     result = energy.integrate_energy(log, pue)
     report = carbon.emissions(result.facility_kwh, intensity, car_kg_per_km=car_factor)
-    setup, epochs = _phase_summaries(log, pue, intensity.grams_per_kwh)
+    setup, epochs = forecast.phase_summaries(log, pue, intensity)
     notes = list(log.warnings) + list(result.notes)
     if log.violations:
         notes.append(f"{log.violations} event protocol violation(s)")
@@ -263,8 +222,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     record = ledger.ExperimentRecord(
         experiment_id=uuid.uuid4().hex[:12],
         label=label,
-        started_at=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        duration_hours=_duration_hours(log),
+        started_at=started_at,
+        duration_hours=forecast.run_duration_hours(log),
         epochs_completed=log.epochs_completed(),
         energy_kwh=result.facility_kwh,
         intensity_g_per_kwh=intensity.grams_per_kwh,
@@ -288,7 +247,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    ledger_path = args.ledger or os.environ.get(LEDGER_ENV) or _DEFAULTS["ledger"]
+    ledger_path = _resolve(args.ledger, {}, "ledger")
     try:
         records = ledger.read_records(ledger_path)
     except OSError as exc:
@@ -296,11 +255,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 2
     if args.filter:
         records = [r for r in records if args.filter in r.label or args.filter == r.experiment_id]
-    try:
-        document = ledger.render_report(records, args.format)
-    except EmptySelection as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    document = ledger.render_report(records, args.format)
     if args.out:
         Path(args.out).write_text(document, encoding="utf-8")
     else:
@@ -309,8 +264,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if args.kwh_per_epoch <= 0 or args.epochs < 1:
-        print("kwh-per-epoch must be > 0 and epochs >= 1", file=sys.stderr)
+    if args.kwh_per_epoch <= 0 or args.epochs < 1 or args.setup_kwh < 0:
+        print("kwh-per-epoch must be > 0, epochs >= 1 and setup-kwh >= 0", file=sys.stderr)
         return 2
     if args.intensity is not None:
         grams = args.intensity
@@ -318,7 +273,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             print("intensity must be > 0", file=sys.stderr)
             return 2
     else:
-        registry = carbon.load_intensity_registry(args.registry or os.environ.get(REGISTRY_ENV))
+        registry = carbon.load_intensity_registry(_resolve(args.registry, {}, "registry"))
         if args.region not in registry:
             print(f"region {args.region!r} not in intensity registry", file=sys.stderr)
             return 2
@@ -332,12 +287,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
-    path = args.registry or os.environ.get(REGISTRY_ENV)
-    try:
-        registry = carbon.load_intensity_registry(path)
-    except CarbonLedgerError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    registry = carbon.load_intensity_registry(_resolve(args.registry, {}, "registry"))
     for region in sorted(registry):
         entry = registry[region]
         as_of = entry.as_of.isoformat() if entry.as_of else ""
@@ -399,10 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         args.child = child[1:]
     try:
         return args.func(args)
-    except CarbonLedgerError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CarbonLedgerError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

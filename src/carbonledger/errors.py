@@ -16,14 +16,18 @@ class BackendUnavailable(CarbonLedgerError):
     """A hardware power backend is missing; callers may fall back to replay."""
 
 
-class TraceParseError(CarbonLedgerError):
-    """A replay trace file has a malformed or out-of-order line."""
+class FileLineError(CarbonLedgerError):
+    """A line of an input file is unusable; says which file, line and why."""
 
     def __init__(self, path: str, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")
         self.path = path
         self.line_no = line_no
         self.reason = reason
+
+
+class TraceParseError(FileLineError):
+    """A replay trace file has a malformed or out-of-order line."""
 
 
 class TransientReadFailure(CarbonLedgerError):
@@ -46,14 +50,8 @@ class DuplicateRegion(CarbonLedgerError):
     """The same region code appears twice in one intensity registry file."""
 
 
-class RegistryParseError(CarbonLedgerError):
+class RegistryParseError(FileLineError):
     """An intensity registry row is malformed."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
 
 
 class NoCompletedEpochs(CarbonLedgerError):
@@ -62,6 +60,10 @@ class NoCompletedEpochs(CarbonLedgerError):
 
 class EpochIndexRegression(CarbonLedgerError):
     """A refinement was handed an epoch that is not the next one."""
+
+
+class LedgerParseError(FileLineError):
+    """A ledger line is torn, has unknown keys or an unknown schema version."""
 
 
 class InconsistentRecord(CarbonLedgerError):
@@ -87,7 +89,3 @@ class MalformedRow(CarbonLedgerError):
 
 class UnknownRelation(CarbonLedgerError):
     """A triple's relation has no verbalization template."""
-
-
-class ChildSpawnFailure(CarbonLedgerError):
-    """The monitored child process could not be started."""

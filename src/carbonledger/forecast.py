@@ -1,5 +1,7 @@
 """Whole-run prediction from completed epochs.
 
+A run's setup and epoch summaries come from its sample log via
+:func:`phase_summaries`, which is also what the ledger record stores.
 After the first epoch finishes, the planned total is extrapolated
 linearly: setup cost once, plus the planned epoch count times the mean of
 the completed epochs. Emissions are always recomputed from the predicted
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from . import carbon
+from . import carbon, energy, sampler
 from .carbon import CarbonIntensity
-from .errors import EpochIndexRegression, NoCompletedEpochs
+from .errors import EpochIndexRegression, NoCompletedEpochs, UnknownPhase
+from .sampler import EventKind, SampleLog
 
 _EPOCH_NAME = re.compile(r"^epoch (\d+)$")
 
@@ -44,20 +47,29 @@ class Forecast:
     """Prediction snapshot after ``basis_epochs`` completed epochs.
 
     The per-epoch means and setup figures are carried so the snapshot can
-    be refined without re-reading the run.
+    be refined without re-reading the run. The predicted figures are not
+    passed in: they are derived from the rest by the one forecast formula,
+    setup once plus the planned epochs times the epoch mean.
     """
 
     basis_epochs: int
     planned_epochs: int
-    predicted_duration_hours: float
-    predicted_kwh: float
-    predicted_co2e_kg: float
+    predicted_duration_hours: float = field(init=False)
+    predicted_kwh: float = field(init=False)
+    predicted_co2e_kg: float = field(init=False)
     includes_setup: bool
     intensity_g_per_kwh: float
     epoch_mean_hours: float
     epoch_mean_kwh: float
     setup_hours: float = 0.0
     setup_kwh: float = 0.0
+
+    def __post_init__(self) -> None:
+        kwh = self.setup_kwh + self.planned_epochs * self.epoch_mean_kwh
+        hours = self.setup_hours + self.planned_epochs * self.epoch_mean_hours
+        object.__setattr__(self, "predicted_duration_hours", hours)
+        object.__setattr__(self, "predicted_kwh", kwh)
+        object.__setattr__(self, "predicted_co2e_kg", carbon.co2e(kwh, self.intensity_g_per_kwh))
 
 
 def _epoch_index(summary: PhaseSummary) -> int | None:
@@ -82,23 +94,15 @@ def predict(
     if planned_epochs < k:
         raise ValueError("planned_epochs must be >= completed epochs")
     grams = intensity.grams_per_kwh if isinstance(intensity, CarbonIntensity) else float(intensity)
-    mean_hours = math.fsum(p.duration_hours for p in completed) / k
-    mean_kwh = math.fsum(p.facility_kwh for p in completed) / k
-    setup_hours = setup.duration_hours if setup else 0.0
-    setup_kwh = setup.facility_kwh if setup else 0.0
-    kwh = setup_kwh + planned_epochs * mean_kwh
     return Forecast(
         basis_epochs=k,
         planned_epochs=planned_epochs,
-        predicted_duration_hours=setup_hours + planned_epochs * mean_hours,
-        predicted_kwh=kwh,
-        predicted_co2e_kg=carbon.co2e(kwh, grams),
         includes_setup=setup is not None,
         intensity_g_per_kwh=grams,
-        epoch_mean_hours=mean_hours,
-        epoch_mean_kwh=mean_kwh,
-        setup_hours=setup_hours,
-        setup_kwh=setup_kwh,
+        epoch_mean_hours=math.fsum(p.duration_hours for p in completed) / k,
+        epoch_mean_kwh=math.fsum(p.facility_kwh for p in completed) / k,
+        setup_hours=setup.duration_hours if setup else 0.0,
+        setup_kwh=setup.facility_kwh if setup else 0.0,
     )
 
 
@@ -109,23 +113,53 @@ def refine(forecast: Forecast, completed: PhaseSummary) -> Forecast:
     epoch index; anything else raises EpochIndexRegression.
     """
     index = _epoch_index(completed)
-    expected = forecast.basis_epochs + 1
-    if index is not None and index != expected:
-        raise EpochIndexRegression(f"expected epoch {expected}, got {completed.phase_name!r}")
-    k = expected
-    mean_hours = (forecast.epoch_mean_hours * forecast.basis_epochs + completed.duration_hours) / k
-    mean_kwh = (forecast.epoch_mean_kwh * forecast.basis_epochs + completed.facility_kwh) / k
-    kwh = forecast.setup_kwh + forecast.planned_epochs * mean_kwh
-    return Forecast(
+    k = forecast.basis_epochs + 1
+    if index is not None and index != k:
+        raise EpochIndexRegression(f"expected epoch {k}, got {completed.phase_name!r}")
+    return replace(
+        forecast,
         basis_epochs=k,
-        planned_epochs=forecast.planned_epochs,
-        predicted_duration_hours=forecast.setup_hours + forecast.planned_epochs * mean_hours,
-        predicted_kwh=kwh,
-        predicted_co2e_kg=carbon.co2e(kwh, forecast.intensity_g_per_kwh),
-        includes_setup=forecast.includes_setup,
-        intensity_g_per_kwh=forecast.intensity_g_per_kwh,
-        epoch_mean_hours=mean_hours,
-        epoch_mean_kwh=mean_kwh,
-        setup_hours=forecast.setup_hours,
-        setup_kwh=forecast.setup_kwh,
+        epoch_mean_hours=(forecast.epoch_mean_hours * forecast.basis_epochs + completed.duration_hours) / k,
+        epoch_mean_kwh=(forecast.epoch_mean_kwh * forecast.basis_epochs + completed.facility_kwh) / k,
     )
+
+
+def phase_summaries(
+    log: SampleLog, pue: float, intensity: CarbonIntensity | float
+) -> tuple[PhaseSummary | None, list[PhaseSummary]]:
+    """Summaries of a run's setup and of each completed epoch.
+
+    Each phase is the slice of the log between its boundary events,
+    integrated with ``pue``; its emissions use ``intensity``. Setup is
+    None without TRAIN_START and EPOCH_START 1; the epochs stop at the
+    first one whose boundaries are missing.
+    """
+
+    def summarize(phase: str, name: str) -> PhaseSummary:
+        start, end = sampler.phase_window(log, phase)
+        kwh = energy.integrate_energy(sampler.slice_window(log, start, end), pue).facility_kwh
+        return PhaseSummary(name, (end - start) / energy.MS_PER_HOUR, kwh, carbon.co2e(kwh, intensity))
+
+    setup = None
+    try:
+        setup = summarize("setup", "setup")
+    except UnknownPhase:
+        pass
+    epochs = []
+    for k in range(1, log.epochs_completed() + 1):
+        try:
+            epochs.append(summarize(f"epoch:{k}", f"epoch {k}"))
+        except UnknownPhase:
+            break
+    return setup, epochs
+
+
+def run_duration_hours(log: SampleLog) -> float:
+    """TRAIN_START to TRAIN_END, else the sampled span, else 0."""
+    starts = log.events_of(EventKind.TRAIN_START)
+    ends = log.events_of(EventKind.TRAIN_END)
+    if starts and ends:
+        return (ends[0].timestamp_ms - starts[0].timestamp_ms) / energy.MS_PER_HOUR
+    if len(log.samples) >= 2:
+        return (log.samples[-1].timestamp_ms - log.samples[0].timestamp_ms) / energy.MS_PER_HOUR
+    return 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 from . import carbon
-from .errors import EmptySelection, InconsistentRecord, UnknownBaseline
+from .errors import EmptySelection, InconsistentRecord, LedgerParseError, UnknownBaseline
 from .forecast import PhaseSummary
 
 SCHEMA_VERSION = 1
@@ -76,7 +76,9 @@ class ExperimentRecord:
     @staticmethod
     def from_dict(data: dict) -> "ExperimentRecord":
         fields = dict(data)
-        fields.pop("v", None)
+        version = fields.pop("v", None)
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"unknown schema version {version!r}")
         fields["phase_breakdown"] = tuple(PhaseSummary(**p) for p in fields.get("phase_breakdown", []))
         fields["quality_notes"] = tuple(fields.get("quality_notes", []))
         return ExperimentRecord(**fields)
@@ -101,13 +103,26 @@ def append_record(ledger_path: str | Path, record: ExperimentRecord) -> int:
 
 
 def read_records(ledger_path: str | Path) -> list[ExperimentRecord]:
-    """Parse every line of a ledger file, in append order."""
+    """Parse every line of a ledger file, in append order.
+
+    Raises LedgerParseError on a line that is not JSON (a torn write), is
+    not a record of schema version ``SCHEMA_VERSION``, or has unknown or
+    missing keys.
+    """
     records: list[ExperimentRecord] = []
     with open(ledger_path, "r", encoding="utf-8", newline="\n") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(ExperimentRecord.from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LedgerParseError(str(ledger_path), line_no, f"not JSON: {exc.msg}") from exc
+            try:
+                records.append(ExperimentRecord.from_dict(data))
+            except (TypeError, ValueError) as exc:
+                raise LedgerParseError(str(ledger_path), line_no, str(exc)) from exc
     return records
 
 

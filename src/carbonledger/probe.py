@@ -139,9 +139,6 @@ class Probe:
         """Return one sample per source, or None at end of trace."""
         raise NotImplementedError
 
-    def close(self) -> None:
-        pass
-
 
 class ReplayProbe(Probe):
     """Plays a parsed trace back verbatim, one entry per source per read.
@@ -175,15 +172,9 @@ class HardwareProbe(Probe):
     source never emits non-increasing timestamps.
     """
 
-    def __init__(
-        self,
-        descriptor: ProbeDescriptor,
-        reader: Callable[[int], float],
-        clock_ms: Callable[[], int] | None = None,
-    ):
+    def __init__(self, descriptor: ProbeDescriptor, reader: Callable[[int], float]):
         super().__init__(descriptor)
         self._reader = reader
-        self._clock_ms = clock_ms or (lambda: time.time_ns() // 1_000_000)
         self._last_ts: dict[str, int] = {}
 
     def read(self) -> list[PowerSample] | None:
@@ -194,7 +185,7 @@ class HardwareProbe(Probe):
             except TransientReadFailure:
                 self.skipped_reads += 1
                 continue
-            ts = self._clock_ms()
+            ts = time.time_ns() // 1_000_000
             last = self._last_ts.get(sid)
             if last is not None and ts <= last:
                 ts = last + 1
@@ -269,8 +260,3 @@ def open_probe(descriptor: ProbeDescriptor, reader: Callable[[int], float] | Non
     if reader is None:
         reader = _nvidia_smi_reader() if descriptor.kind is ProbeKind.GPU else _rapl_reader()
     return HardwareProbe(descriptor, reader)
-
-
-def read_sample(probe: Probe) -> list[PowerSample] | None:
-    """One read step: a sample per source, or None at end of trace."""
-    return probe.read()

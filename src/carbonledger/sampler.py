@@ -131,16 +131,36 @@ def parse_event_line(line: str) -> EpochEvent:
     return EpochEvent(kind, epoch, _int(parts[4], "timestamp"), name, value)
 
 
-class _ProtocolState:
-    """Tracks protocol legality across a stream of parsed events."""
+class _EventStream:
+    """The one parse -> protocol check -> count loop over event lines.
+
+    ``events`` keeps the admitted events in stream order; ``violations``
+    counts lines that failed the grammar or the protocol.
+    """
 
     def __init__(self) -> None:
         self.train_started = False
         self.train_ended = False
         self.last_started = 0
         self.open_epoch: int | None = None
+        self.events: list[EpochEvent] = []
+        self.violations = 0
 
-    def admit(self, event: EpochEvent) -> None:
+    @property
+    def epochs_ended(self) -> int:
+        return self.last_started - (self.open_epoch is not None)
+
+    def feed(self, lines: Iterable[str]) -> None:
+        for line in lines:
+            try:
+                event = parse_event_line(line)
+                self._admit(event)
+            except EventProtocolViolation:
+                self.violations += 1
+                continue
+            self.events.append(event)
+
+    def _admit(self, event: EpochEvent) -> None:
         """Raise EventProtocolViolation if the event is illegal here."""
         if self.train_ended:
             raise EventProtocolViolation(f"event after TRAIN_END: {event.kind.value}")
@@ -170,54 +190,46 @@ class _ProtocolState:
 
 def parse_events(lines: Iterable[str]) -> tuple[tuple[EpochEvent, ...], int]:
     """Parse an event stream; skipped bad lines are counted, not fatal."""
-    state = _ProtocolState()
-    events: list[EpochEvent] = []
-    violations = 0
-    for line in lines:
-        try:
-            event = parse_event_line(line)
-            state.admit(event)
-        except EventProtocolViolation:
-            violations += 1
-            continue
-        events.append(event)
-    return tuple(events), violations
+    stream = _EventStream()
+    stream.feed(lines)
+    return tuple(stream.events), stream.violations
 
 
-class _EventTail:
-    """Incrementally reads and parses new lines from the event file."""
+class _EventTail(_EventStream):
+    """Incrementally reads and parses new lines from the event file.
+
+    Lines end at LF only; a trailing partial line waits in the buffer
+    until its LF arrives or :meth:`finish` takes it as complete.
+    """
 
     def __init__(self, path: str | Path):
+        super().__init__()
         self.path = Path(path)
         self._offset = 0
         self._buffer = ""
-        self._state = _ProtocolState()
-        self.events: list[EpochEvent] = []
-        self.violations = 0
 
-    def poll(self) -> int:
-        """Consume newly appended complete lines; return how many parsed."""
+    def poll(self) -> bool:
+        """Consume newly appended complete lines; True if one ended an epoch."""
         if not self.path.exists():
-            return 0
+            return False
         with open(self.path, "r", encoding="utf-8", newline="\n") as fh:
             fh.seek(self._offset)
             chunk = fh.read()
             self._offset = fh.tell()
         if not chunk:
-            return 0
-        self._buffer += chunk
-        new = 0
-        while "\n" in self._buffer:
-            line, self._buffer = self._buffer.split("\n", 1)
-            try:
-                event = parse_event_line(line)
-                self._state.admit(event)
-            except EventProtocolViolation:
-                self.violations += 1
-                continue
-            self.events.append(event)
-            new += 1
-        return new
+            return False
+        lines = (self._buffer + chunk).split("\n")
+        self._buffer = lines.pop()
+        ended = self.epochs_ended
+        self.feed(lines)
+        return self.epochs_ended > ended
+
+    def finish(self) -> None:
+        """Final poll, once the writer is gone: a last line needs no LF."""
+        self.poll()
+        if self._buffer:
+            self.feed([self._buffer])
+            self._buffer = ""
 
 
 def run_sampler(
@@ -233,7 +245,8 @@ def run_sampler(
     once per interval. The event file is polled at least every 100 ms so
     a fast child is not held hostage by a long sampling interval.
     ``on_tick``, when given, receives a snapshot log after every poll that
-    parsed new events (used for live forecasting).
+    admitted an EPOCH_END (used for live forecasting). An unterminated
+    last event line is parsed once ``stop_condition`` is true.
     """
     if interval_ms <= 0:
         raise ValueError("interval_ms must be positive")
@@ -260,8 +273,7 @@ def run_sampler(
                 if batch:
                     samples.extend(batch)
             next_hw_read = now + interval_ms / 1000.0
-        new_events = tail.poll()
-        if new_events and on_tick is not None:
+        if tail.poll() and on_tick is not None:
             on_tick(_build_log(samples, tail, interval_ms, started_wall_ms, bool(hardware)))
         if stop_condition():
             break
@@ -272,7 +284,7 @@ def run_sampler(
         if batch:
             samples.extend(batch)
         skipped_note += probe.skipped_reads
-    tail.poll()
+    tail.finish()
     return _build_log(samples, tail, interval_ms, started_wall_ms, bool(hardware), skipped_note)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,20 @@ def make_record(
     )
     fields.update(overrides)
     return ExperimentRecord(**fields)
+
+
+def write_bad_ledger(path: Path, case: str) -> Path:
+    """A ledger whose second line is ``torn``, has an ``unknown-key`` or an ``unknown-version``."""
+    path.write_text(json.dumps(make_record("first").to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+    data = make_record("second").to_dict()
+    if case == "unknown-key":
+        data["surprise"] = 1
+    if case == "unknown-version":
+        data["v"] = 2
+    line = json.dumps(data, sort_keys=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write((line[: len(line) // 2] if case == "torn" else line) + "\n")
+    return path
 
 
 def golden_records() -> list[ExperimentRecord]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import datetime
 import json
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from carbonledger.cli import load_config_file, main, parse_probe_spec
 from carbonledger.ledger import read_records
 from carbonledger.probe import ProbeKind
 
-from conftest import constant_trace, golden_records
+from conftest import constant_trace, golden_records, write_bad_ledger
 from goldens import GOLDEN_ROWS
 
 from carbonledger import ledger as ledger_mod
@@ -116,6 +117,18 @@ def test_run_rerun_is_field_identical_except_identity(tmp_path, triples_file):
         first.pop(volatile)
         second.pop(volatile)
     assert first == second
+
+
+def test_run_started_at_is_stamped_before_the_child_runs(tmp_path):
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = tmp_path / "ledger.jsonl"
+    args = ["run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--events", str(tmp_path / "e.log")]
+    assert main([*args, "--", sys.executable, "-c", "import time; time.sleep(2)"]) == 0
+    returned = datetime.datetime.now(datetime.timezone.utc)
+    started = datetime.datetime.fromisoformat(read_records(ledger_path)[0].started_at)
+    # started_at keeps whole seconds, so a stamp taken after the 2 s child
+    # would trail the return by less than 1 s plus the bookkeeping time
+    assert (returned - started).total_seconds() > 1.5
 
 
 def test_run_child_failure_flags_aborted_and_propagates(tmp_path, triples_file):
@@ -259,6 +272,13 @@ def test_report_empty_selection_exits_two(tmp_path, capsys):
     assert main(["report", "--ledger", str(tmp_path / "missing.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("case", ["torn", "unknown-key", "unknown-version"])
+def test_report_bad_ledger_line_exits_two(tmp_path, capsys, case):
+    path = write_bad_ledger(tmp_path / "ledger.jsonl", case)
+    assert main(["report", "--ledger", str(path)]) == 2
+    assert f"{path}:2:" in capsys.readouterr().err
+
+
 def test_predict_linear_scaling_with_registry_default(capsys):
     assert main(["predict", "--kwh-per-epoch", "0.27", "--epochs", "13"]) == 0
     out = capsys.readouterr().out
@@ -281,6 +301,7 @@ def test_predict_with_explicit_intensity(capsys):
 def test_predict_bad_arguments_exit_two(capsys):
     assert main(["predict", "--kwh-per-epoch", "-1", "--epochs", "5"]) == 2
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "0"]) == 2
+    assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "2", "--setup-kwh", "-5"]) == 2
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "1", "--region", "ZZ"]) == 2
 
 

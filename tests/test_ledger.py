@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from carbonledger.errors import EmptySelection, InconsistentRecord, UnknownBaseline
+from carbonledger.errors import EmptySelection, InconsistentRecord, LedgerParseError, UnknownBaseline
 from carbonledger.forecast import PhaseSummary
 from carbonledger.ledger import (
     append_record,
@@ -14,7 +14,7 @@ from carbonledger.ledger import (
     render_report,
 )
 
-from conftest import golden_records, make_record
+from conftest import golden_records, make_record, write_bad_ledger
 from goldens import GOLDEN_ROWS
 
 
@@ -160,3 +160,16 @@ def test_ledger_jsonl_round_trip_with_phases_and_notes(tmp_path):
     loaded = read_records(path)[0]
     assert loaded == record
     assert loaded.phase_breakdown[1].phase_name == "epoch 1"
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [("torn", "not JSON"), ("unknown-key", "surprise"), ("unknown-version", "version 2")],
+)
+def test_bad_ledger_line_raises_ledger_parse_error(tmp_path, case, reason):
+    path = write_bad_ledger(tmp_path / "ledger.jsonl", case)
+    with pytest.raises(LedgerParseError) as caught:
+        read_records(path)
+    assert caught.value.path == str(path)
+    assert caught.value.line_no == 2
+    assert reason in caught.value.reason

@@ -9,7 +9,6 @@ from carbonledger.probe import (
     ProbeKind,
     open_probe,
     parse_trace,
-    read_sample,
 )
 
 from conftest import replay_probe, write_trace
@@ -17,7 +16,7 @@ from conftest import replay_probe, write_trace
 
 def drain(probe) -> list[PowerSample]:
     out = []
-    while (batch := read_sample(probe)) is not None:
+    while (batch := probe.read()) is not None:
         out.extend(batch)
     return out
 
@@ -33,7 +32,7 @@ def test_replay_empty_file_yields_no_samples(tmp_path):
     trace = tmp_path / "empty.csv"
     trace.write_text("", encoding="utf-8")
     probe = replay_probe(trace)
-    assert read_sample(probe) is None
+    assert probe.read() is None
 
 
 def test_replay_reproduces_trace_bit_equal_after_parse(tmp_path):
@@ -46,9 +45,9 @@ def test_replay_reproduces_trace_bit_equal_after_parse(tmp_path):
 def test_read_after_end_of_trace_keeps_signalling(tmp_path):
     trace = write_trace(tmp_path / "t.csv", [(0, 250.0)])
     probe = replay_probe(trace)
-    assert read_sample(probe) is not None
-    assert read_sample(probe) is None
-    assert read_sample(probe) is None
+    assert probe.read() is not None
+    assert probe.read() is None
+    assert probe.read() is None
 
 
 def test_constant_trace_reads_constant(tmp_path):
@@ -93,13 +92,13 @@ def test_trace_dir_env_roots_relative_paths(tmp_path, monkeypatch):
     write_trace(tmp_path / "rel.csv", [(0, 42.0)])
     monkeypatch.setenv("CARBONLEDGER_TRACE_DIR", str(tmp_path))
     probe = open_probe(ProbeDescriptor("replay", ProbeKind.REPLAY, 1, "rel.csv"))
-    assert read_sample(probe)[0].watts == 42.0
+    assert probe.read()[0].watts == 42.0
 
 
 def test_replay_device_count_fans_out_sources(tmp_path):
     trace = write_trace(tmp_path / "t.csv", [(0, 100.0), (1000, 200.0)])
     probe = replay_probe(trace, device_count=2)
-    first = read_sample(probe)
+    first = probe.read()
     assert [s.source_id for s in first] == ["replay0", "replay1"]
     assert all(s.watts == 100.0 for s in first)
 
@@ -107,7 +106,7 @@ def test_replay_device_count_fans_out_sources(tmp_path):
 def test_gpu_descriptor_two_devices_names_sources():
     probe = open_probe(ProbeDescriptor("gpu", ProbeKind.GPU, 2), reader=lambda i: 100.0 + i)
     assert probe.source_ids == ("gpu0", "gpu1")
-    batch = read_sample(probe)
+    batch = probe.read()
     assert [s.source_id for s in batch] == ["gpu0", "gpu1"]
     assert [s.watts for s in batch] == [100.0, 101.0]
 
@@ -116,12 +115,12 @@ def test_hardware_stub_reads_configured_watts():
     # per-device average recovered from the golden efficiency rows; the
     # stub stands in for a management-interface backend in tests.
     probe = open_probe(ProbeDescriptor("gpu", ProbeKind.GPU, 1), reader=lambda i: 256.6)
-    assert read_sample(probe)[0].watts == 256.6
+    assert probe.read()[0].watts == 256.6
 
 
 def test_hardware_timestamps_strictly_increase_per_source():
     probe = open_probe(ProbeDescriptor("gpu", ProbeKind.GPU, 1), reader=lambda i: 1.0)
-    seen = [read_sample(probe)[0].timestamp_ms for _ in range(5)]
+    seen = [probe.read()[0].timestamp_ms for _ in range(5)]
     assert all(b > a for a, b in zip(seen, seen[1:]))
 
 
@@ -135,9 +134,9 @@ def test_transient_read_failures_are_skipped_and_counted():
         return 7.0
 
     probe = open_probe(ProbeDescriptor("gpu", ProbeKind.GPU, 1), reader=flaky)
-    assert len(read_sample(probe)) == 1
-    assert read_sample(probe) == []
-    assert len(read_sample(probe)) == 1
+    assert len(probe.read()) == 1
+    assert probe.read() == []
+    assert len(probe.read()) == 1
     assert probe.skipped_reads == 1
 
 

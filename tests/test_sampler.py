@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonledger.energy import integrate_energy
 from carbonledger.errors import EventProtocolViolation, UnknownPhase
 from carbonledger.sampler import (
     EventKind,
+    _EventTail,
     parse_event_line,
     parse_events,
     phase_window,
@@ -129,6 +134,73 @@ def test_run_sampler_parses_events_in_order(tmp_path):
         EventKind.EPOCH_END,
         EventKind.TRAIN_END,
     ]
+
+
+def test_run_sampler_parses_unterminated_last_line(tmp_path):
+    trace = constant_trace(tmp_path / "t.csv", 50.0, 30, 10)
+    text = "\n".join(MINIMAL_RUN)  # no LF after TRAIN_END
+    events = tmp_path / "e.log"
+    events.write_text(text, encoding="utf-8", newline="\n")
+    log = run_sampler([replay_probe(trace)], 10, events, stop_condition=lambda: True)
+    assert (log.events, log.violations) == parse_events(text.split("\n"))
+    assert log.events[-1].kind is EventKind.TRAIN_END
+
+
+def test_on_tick_gets_one_snapshot_per_epoch_end(tmp_path):
+    trace = constant_trace(tmp_path / "t.csv", 50.0, 40, 10)
+    events = write_events(tmp_path / "e.log", [])
+    # one chunk appended per loop pass; the last one is polled before the
+    # loop stops, so every EPOCH_END reaches on_tick
+    chunks = [
+        "TRAIN_START 0\nEPOCH_START 1 0\n",
+        "METRIC 1 loss 0.5 5\n",
+        "EPOCH_END 1 10\nEPOCH_START 2 10\nMETRIC 2 loss 0.4 15\n",
+        "EPOCH_END 2 20\nEPOCH_START 3 20\nEPOCH_END 3 30\n",
+        "TRAIN_END 40\n",
+    ]
+
+    def append_next() -> bool:
+        if not chunks:
+            return True
+        with open(events, "a", encoding="utf-8", newline="\n") as fh:
+            fh.write(chunks.pop(0))
+        return False
+
+    snapshots = []
+    log = run_sampler([replay_probe(trace)], 10, events, stop_condition=append_next, on_tick=snapshots.append)
+    assert [s.epochs_completed() for s in snapshots] == [1, 3]
+    assert [len(s.events) for s in snapshots] == [6, 9]
+    assert all(s.samples == log.samples for s in snapshots)
+    assert log.epochs_completed() == 3 and log.events[-1].kind is EventKind.TRAIN_END
+
+
+EVENT_TOKENS = st.one_of(
+    st.sampled_from(
+        ["TRAIN_START", "EPOCH_START", "EPOCH_END", "METRIC", "TRAIN_END", "loss", "0.5",
+         " ", "\n", "\r", "\x1c", "\u2028", "TRAIN_START 0\n", "EPOCH_START 1 5\n", "EPOCH_END 1 9\n"]
+    ),
+    st.text(alphabet="0123456789", min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tail_over_any_chunking_matches_parse_events(data):
+    text = "".join(data.draw(st.lists(EVENT_TOKENS, max_size=40)))
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(text)), max_size=6)))
+    expected_lines = text.split("\n")
+    if expected_lines[-1] == "":
+        expected_lines.pop()  # the LF ends the last line, it starts none
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events"
+        path.write_text("", encoding="utf-8")
+        tail = _EventTail(path)
+        for a, b in zip([0, *cuts], [*cuts, len(text)]):
+            with open(path, "a", encoding="utf-8", newline="\n") as fh:
+                fh.write(text[a:b])
+            tail.poll()
+        tail.finish()
+    assert (tuple(tail.events), tail.violations) == parse_events(expected_lines)
 
 
 def test_run_sampler_counts_malformed_event_lines(tmp_path):
