@@ -4,7 +4,8 @@ The tracker is a wrapper, not a library embedded in the workload: ``run``
 spawns the child command, points it at the event file via
 ``CARBONLEDGER_EVENTS``, samples the configured probes until the child
 exits, appends one experiment record to the ledger, and propagates the
-child's exit code.
+child's exit code. SIGINT and SIGTERM are forwarded to the child, so an
+interrupted run still gets its record, noted ``interrupted``.
 
 Exit codes: 0 success, 1 child/workload failure, 2 usage or config error.
 
@@ -170,15 +171,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot spawn child: {exc}", file=sys.stderr)
         return 1
 
+    # SIGINT and SIGTERM go to the child; the tracker outlives it to
+    # write the record
     interrupted = False
-    previous_handler = signal.getsignal(signal.SIGINT)
+    forwarded = (signal.SIGINT, signal.SIGTERM)
+    previous_handlers = {signum: signal.getsignal(signum) for signum in forwarded}
 
     def forward_interrupt(signum, frame):
         nonlocal interrupted
         interrupted = True
-        child.send_signal(signal.SIGINT)
+        child.send_signal(signum)
 
-    signal.signal(signal.SIGINT, forward_interrupt)
+    for signum in forwarded:
+        signal.signal(signum, forward_interrupt)
 
     early: forecast.Forecast | None = None
 
@@ -205,7 +210,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             on_tick=maybe_forecast,
         )
     finally:
-        signal.signal(signal.SIGINT, previous_handler)
+        for signum, handler in previous_handlers.items():
+            signal.signal(signum, handler)
     exit_code = child.wait()
 
     result = energy.integrate_energy(log, pue)

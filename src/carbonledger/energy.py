@@ -5,16 +5,30 @@ them.
 Units are fixed throughout: durations in hours, power in watts, energy in
 kWh, facility overhead as a PUE multiplier >= 1 applied on top of the raw
 device-side figure.
+
+Every trace integral goes through :func:`window_energy`. It reads the
+per-source index a :class:`~carbonledger.sampler.SampleLog` builds once:
+timestamp and watts columns plus one kWh term per segment between
+consecutive samples, computed by :func:`segment_kwh` with the gap rule
+folded in. A window's energy per source is ``math.fsum`` of the terms of
+the segments inside it, found by ``bisect``, plus the two partial
+segments where the window cuts between samples. ``fsum`` is correctly
+rounded, so a window sums to exactly what integrating its slice gives;
+prefix-sum differences would not.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
+from typing import TYPE_CHECKING
 
-from .errors import InsufficientSamples
-from .probe import PowerSample
-from .sampler import SampleLog
+from .errors import InsufficientSamples, UnknownPhase
+
+if TYPE_CHECKING:
+    from .sampler import SampleLog, SourceSeries
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -66,23 +80,63 @@ def closed_form_energy(params: RunParams) -> EnergyResult:
     return EnergyResult(raw_kwh=raw, pue=params.pue, facility_kwh=raw * params.pue)
 
 
-def _integrate_source(samples: list[PowerSample], gap_limit_ms: float) -> tuple[float, int]:
-    """kWh for one source's time-ordered samples; returns (kwh, gap count).
+def segment_kwh(dt_ms: int, w0: float, w1: float, gap_limit_ms: float) -> float:
+    """kWh of one segment from a w0-watt sample to a w1-watt one dt_ms later.
 
-    Trapezoid between consecutive samples; a gap wider than the limit
-    contributes last-value-carried-forward energy instead, so dropped
-    reads never silently delete energy.
+    Trapezoid, unless the segment is wider than the gap limit: then w0 is
+    carried forward, so dropped reads never silently delete energy.
     """
-    kwh_terms: list[float] = []
-    gaps = 0
-    for a, b in zip(samples, samples[1:]):
-        dt_ms = b.timestamp_ms - a.timestamp_ms
-        if dt_ms > gap_limit_ms:
-            kwh_terms.append(a.watts * dt_ms / MS_PER_HOUR / 1000.0)
-            gaps += 1
-        else:
-            kwh_terms.append(0.5 * (a.watts + b.watts) * dt_ms / MS_PER_HOUR / 1000.0)
-    return math.fsum(kwh_terms), gaps
+    return (w0 * dt_ms if dt_ms > gap_limit_ms else 0.5 * (w0 + w1) * dt_ms) / MS_PER_HOUR / 1000.0
+
+
+def _source_window_kwh(series: SourceSeries, start: float, end: float, gap_limit_ms: float) -> tuple[float, int]:
+    """kWh of one source over [start, end] and the gaps it crossed.
+
+    The same segments as in ``slice_window``'s view of the window: the
+    indexed terms between the samples inside it, plus the partial segments
+    to the interpolated points where it cuts between two samples.
+    """
+    lo, hi, w_start, w_end = series.window(start, end)
+    ts, ws = series.timestamps, series.watts
+    edges = []  # (t0, w0, t1, w1) of each partial segment
+    if w_start is not None:
+        # with no sample inside, a window that cuts at start also cuts at end
+        t1, w1 = (ts[lo], ws[lo]) if hi > lo else (end, w_end)
+        edges.append((start, w_start, t1, w1))
+    if w_end is not None and hi > lo:
+        edges.append((ts[hi - 1], ws[hi - 1], end, w_end))
+    gaps = sum(t1 - t0 > gap_limit_ms for t0, _, t1, _ in edges)
+    terms = [segment_kwh(t1 - t0, w0, w1, gap_limit_ms) for t0, w0, t1, w1 in edges]
+    if hi - lo >= 2:
+        gaps += bisect_left(series.gap_segments, hi - 1) - bisect_left(series.gap_segments, lo)
+        return math.fsum(chain(series.kwh_terms[lo : hi - 1], terms)), gaps
+    return math.fsum(terms), gaps
+
+
+def window_energy(log: SampleLog, start: float, end: float, pue: float) -> EnergyResult:
+    """Trapezoidal energy of every source over the [start, end] window.
+
+    Equal, bit for bit, to integrating ``slice_window(log, start, end)``.
+    Boundaries outside a source's sampled span are clamped to its data.
+    Raises UnknownPhase if end < start and ValueError on negative watts.
+    """
+    if pue < 1:
+        raise ValueError("pue must be >= 1")
+    if end < start:
+        raise UnknownPhase(f"window end {end} before start {start}")
+    index = log.index
+    if index.negative_watts:
+        raise ValueError("log contains negative-watt samples")
+    gap_limit = GAP_FACTOR * log.sampling_interval_ms
+    per_source_kwh: list[float] = []
+    notes: list[str] = []
+    for source, series in index.series.items():
+        kwh, gaps = _source_window_kwh(series, start, end, gap_limit)
+        per_source_kwh.append(kwh)
+        if gaps:
+            notes.append(f"{source}: {gaps} gap(s) > {GAP_FACTOR}x interval filled with last value")
+    raw = math.fsum(per_source_kwh)
+    return EnergyResult(raw_kwh=raw, pue=pue, facility_kwh=raw * pue, notes=tuple(notes))
 
 
 def integrate_energy(log: SampleLog, pue: float) -> EnergyResult:
@@ -91,21 +145,7 @@ def integrate_energy(log: SampleLog, pue: float) -> EnergyResult:
     A log with zero or one sample per source integrates to 0. Rejects
     logs containing negative wattages.
     """
-    if pue < 1:
-        raise ValueError("pue must be >= 1")
-    if any(s.watts < 0 for s in log.samples):
-        raise ValueError("log contains negative-watt samples")
-    gap_limit = GAP_FACTOR * log.sampling_interval_ms
-    per_source_kwh: list[float] = []
-    notes: list[str] = []
-    for source in log.sources():
-        series = sorted(log.samples_for(source), key=lambda s: s.timestamp_ms)
-        kwh, gaps = _integrate_source(series, gap_limit)
-        per_source_kwh.append(kwh)
-        if gaps:
-            notes.append(f"{source}: {gaps} gap(s) > {GAP_FACTOR}x interval filled with last value")
-    raw = math.fsum(per_source_kwh)
-    return EnergyResult(raw_kwh=raw, pue=pue, facility_kwh=raw * pue, notes=tuple(notes))
+    return window_energy(log, -math.inf, math.inf, pue)
 
 
 @dataclass(frozen=True)
@@ -124,23 +164,22 @@ class AveragePower:
 
 def average_power(log: SampleLog) -> AveragePower:
     """Time-weighted average power; requires >= 2 samples per source."""
-    sources = log.sources()
-    if not sources:
+    index = log.index
+    if not index.series:
         raise InsufficientSamples("log has no samples")
-    gap_limit = GAP_FACTOR * log.sampling_interval_ms
     per_source: dict[str, float] = {}
     first_ms = math.inf
     last_ms = -math.inf
     total_kwh_terms: list[float] = []
-    for source in sources:
-        series = sorted(log.samples_for(source), key=lambda s: s.timestamp_ms)
-        if len(series) < 2:
-            raise InsufficientSamples(f"source {source} has {len(series)} sample(s), need >= 2")
-        kwh, _ = _integrate_source(series, gap_limit)
-        span_hours = (series[-1].timestamp_ms - series[0].timestamp_ms) / MS_PER_HOUR
+    for source, series in index.series.items():
+        ts = series.timestamps
+        if len(ts) < 2:
+            raise InsufficientSamples(f"source {source} has {len(ts)} sample(s), need >= 2")
+        kwh = math.fsum(series.kwh_terms)
+        span_hours = (ts[-1] - ts[0]) / MS_PER_HOUR
         per_source[source] = kwh * 1000.0 / span_hours
-        first_ms = min(first_ms, series[0].timestamp_ms)
-        last_ms = max(last_ms, series[-1].timestamp_ms)
+        first_ms = min(first_ms, ts[0])
+        last_ms = max(last_ms, ts[-1])
         total_kwh_terms.append(kwh)
     duration_hours = (last_ms - first_ms) / MS_PER_HOUR
     combined = math.fsum(total_kwh_terms) * 1000.0 / duration_hours

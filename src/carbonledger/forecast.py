@@ -15,6 +15,7 @@ refinement trail makes that visible.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from . import carbon, energy, sampler
 from .carbon import CarbonIntensity
 from .errors import EpochIndexRegression, NoCompletedEpochs, UnknownPhase
-from .sampler import EventKind, SampleLog
+from .sampler import SampleLog
 
 _EPOCH_NAME = re.compile(r"^epoch (\d+)$")
 
@@ -129,15 +130,16 @@ def phase_summaries(
 ) -> tuple[PhaseSummary | None, list[PhaseSummary]]:
     """Summaries of a run's setup and of each completed epoch.
 
-    Each phase is the slice of the log between its boundary events,
-    integrated with ``pue``; its emissions use ``intensity``. Setup is
-    None without TRAIN_START and EPOCH_START 1; the epochs stop at the
-    first one whose boundaries are missing.
+    Each phase is the window of the log between its boundary events,
+    integrated with ``pue`` by :func:`energy.window_energy`, so no slice
+    is built; its emissions use ``intensity``. Setup is None without
+    TRAIN_START and EPOCH_START 1 (or if they are out of time order); the
+    epochs stop at the first one whose boundaries are missing or reversed.
     """
 
     def summarize(phase: str, name: str) -> PhaseSummary:
         start, end = sampler.phase_window(log, phase)
-        kwh = energy.integrate_energy(sampler.slice_window(log, start, end), pue).facility_kwh
+        kwh = energy.window_energy(log, start, end, pue).facility_kwh
         return PhaseSummary(name, (end - start) / energy.MS_PER_HOUR, kwh, carbon.co2e(kwh, intensity))
 
     setup = None
@@ -156,10 +158,9 @@ def phase_summaries(
 
 def run_duration_hours(log: SampleLog) -> float:
     """TRAIN_START to TRAIN_END, else the sampled span, else 0."""
-    starts = log.events_of(EventKind.TRAIN_START)
-    ends = log.events_of(EventKind.TRAIN_END)
-    if starts and ends:
-        return (ends[0].timestamp_ms - starts[0].timestamp_ms) / energy.MS_PER_HOUR
+    with contextlib.suppress(UnknownPhase):
+        start, end = sampler.phase_window(log, "run")
+        return (end - start) / energy.MS_PER_HOUR
     if len(log.samples) >= 2:
         return (log.samples[-1].timestamp_ms - log.samples[0].timestamp_ms) / energy.MS_PER_HOUR
     return 0.0

@@ -105,14 +105,17 @@ def append_record(ledger_path: str | Path, record: ExperimentRecord) -> int:
 def read_records(ledger_path: str | Path) -> list[ExperimentRecord]:
     """Parse every line of a ledger file, in append order.
 
-    Raises LedgerParseError on a line that is not JSON (a torn write), is
-    not a record of schema version ``SCHEMA_VERSION``, or has unknown or
-    missing keys.
+    Raises LedgerParseError on a line that is not UTF-8 or not JSON (a
+    torn write can be either), is not a record of schema version
+    ``SCHEMA_VERSION``, or has unknown or missing keys.
     """
     records: list[ExperimentRecord] = []
-    with open(ledger_path, "r", encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(ledger_path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise LedgerParseError(str(ledger_path), line_no, f"not UTF-8: {exc.reason}") from exc
             if not line:
                 continue
             try:

@@ -19,18 +19,34 @@ epoch indices that do not run 1, 2, 3, ..., anything after TRAIN_END).
 
 Replay probes are drained verbatim into the log, so with replay probes the
 log is a pure function of (traces, event file, interval) and reruns are
-identical. Hardware probes are polled once per ``interval_ms``.
+identical. Hardware probes are polled once per ``interval_ms``. Events are
+kept in timestamp order as they are admitted, and a snapshot re-sorts the
+samples only when new ones arrived since the last.
+
+A log is indexed once, on first use (:attr:`SampleLog.index`): per source
+a timestamp column, a watts column and one kWh term per segment between
+consecutive samples with the gap rule folded in; the phase boundary
+events keyed by ``(kind, epoch)``; and the event timestamps. Phase
+windows resolve by dictionary lookup, and :func:`slice_window` and
+:func:`~carbonledger.energy.window_energy` find a window's samples by
+``bisect``, so no path rescans the whole log per phase.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
+from bisect import bisect_left, bisect_right, insort_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
+from operator import attrgetter, sub
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .energy import GAP_FACTOR, segment_kwh
 from .errors import EventProtocolViolation, UnknownPhase
 from .probe import Probe, PowerSample, ProbeKind
 
@@ -39,6 +55,10 @@ EVENTS_ENV = "CARBONLEDGER_EVENTS"
 # Poll the event file at least this often even when the sampling interval
 # is long, so child exit is noticed promptly.
 _MAX_POLL_S = 0.1
+
+_SAMPLE_ORDER = attrgetter("timestamp_ms", "source_id")
+_TIMESTAMP = attrgetter("timestamp_ms")
+_WATTS = attrgetter("watts")
 
 
 class EventKind(Enum):
@@ -64,6 +84,82 @@ class EpochEvent:
 
 
 @dataclass(frozen=True)
+class SourceSeries:
+    """One source's samples as columns, in timestamp order.
+
+    ``kwh_terms[i]`` is the energy of the segment from sample i to sample
+    i + 1 (:func:`~carbonledger.energy.segment_kwh`); ``gap_segments``
+    lists, ascending, the i whose segment is wider than the gap limit.
+    """
+
+    timestamps: array
+    watts: array
+    kwh_terms: array
+    gap_segments: array
+
+    def window(self, start: float, end: float) -> tuple[int, int, float | None, float | None]:
+        """Samples ``lo:hi`` lie in [start, end]; the watts at start and at
+        end are interpolated where the window cuts between two samples, and
+        None where a boundary sits on a sample or outside the sampled span.
+        """
+        ts = self.timestamps
+        return bisect_left(ts, start), bisect_right(ts, end), self._cut(start), self._cut(end)
+
+    def _cut(self, t: float) -> float | None:
+        ts = self.timestamps
+        k = bisect_left(ts, t)
+        if k == 0 or k == len(ts) or ts[k] == t:
+            return None
+        w0 = self.watts[k - 1]
+        frac = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
+        return w0 + (self.watts[k] - w0) * frac
+
+
+@dataclass(frozen=True)
+class LogIndex:
+    """What every phase and window lookup needs, built once per log.
+
+    ``series`` is keyed by source id in sorted order. ``boundaries`` maps
+    ``(kind, epoch)`` of every non-METRIC event to its first occurrence in
+    the log (epoch 0 for TRAIN_START / TRAIN_END). ``event_times`` holds
+    the stamps of the log's events, which are in timestamp order.
+    """
+
+    series: dict[str, SourceSeries]
+    negative_watts: bool
+    boundaries: dict[tuple[EventKind, int], EpochEvent]
+    event_times: list[int]
+
+    @classmethod
+    def build(cls, log: SampleLog) -> LogIndex:
+        gap_limit = GAP_FACTOR * log.sampling_interval_ms
+        by_source: dict[str, list[PowerSample]] = {}
+        for sample in log.samples:
+            by_source.setdefault(sample.source_id, []).append(sample)
+        series: dict[str, SourceSeries] = {}
+        for source in sorted(by_source):
+            group = by_source[source]
+            group.sort(key=_TIMESTAMP)  # stable; a no-op on a well-formed log
+            ts = array("q", map(_TIMESTAMP, group))
+            ws = array("d", map(_WATTS, group))
+            dts = array("q", map(sub, ts[1:], ts))
+            series[source] = SourceSeries(
+                ts,
+                ws,
+                array("d", map(segment_kwh, dts, ws, ws[1:], repeat(gap_limit))),
+                array("q", [i for i, dt in enumerate(dts) if dt > gap_limit]),
+            )
+        metric = EventKind.METRIC
+        return cls(
+            series,
+            any(min(s.watts) < 0 for s in series.values()),
+            # reversed, so the first occurrence is the one that stays
+            {(e.kind, e.epoch_index): e for e in reversed(log.events) if e.kind is not metric},
+            [e.timestamp_ms for e in log.events],
+        )
+
+
+@dataclass(frozen=True)
 class SampleLog:
     """Everything one monitored run produced, ordered and immutable.
 
@@ -79,8 +175,13 @@ class SampleLog:
     violations: int = 0
     warnings: tuple[str, ...] = ()
 
+    @cached_property
+    def index(self) -> LogIndex:
+        """The log's per-source columns and event lookups, built on first use."""
+        return LogIndex.build(self)
+
     def sources(self) -> tuple[str, ...]:
-        return tuple(sorted({s.source_id for s in self.samples}))
+        return tuple(self.index.series)
 
     def samples_for(self, source_id: str) -> tuple[PowerSample, ...]:
         return tuple(s for s in self.samples if s.source_id == source_id)
@@ -134,8 +235,10 @@ def parse_event_line(line: str) -> EpochEvent:
 class _EventStream:
     """The one parse -> protocol check -> count loop over event lines.
 
-    ``events`` keeps the admitted events in stream order; ``violations``
-    counts lines that failed the grammar or the protocol.
+    ``events`` keeps the admitted events in timestamp order, stream order
+    among equal stamps (what a stable sort would give); ``violations``
+    counts lines that failed the grammar, the protocol or, in the tail,
+    UTF-8 decoding.
     """
 
     def __init__(self) -> None:
@@ -158,7 +261,10 @@ class _EventStream:
             except EventProtocolViolation:
                 self.violations += 1
                 continue
-            self.events.append(event)
+            if self.events and event.timestamp_ms < self.events[-1].timestamp_ms:
+                insort_right(self.events, event, key=_TIMESTAMP)
+            else:
+                self.events.append(event)
 
     def _admit(self, event: EpochEvent) -> None:
         """Raise EventProtocolViolation if the event is illegal here."""
@@ -198,38 +304,48 @@ def parse_events(lines: Iterable[str]) -> tuple[tuple[EpochEvent, ...], int]:
 class _EventTail(_EventStream):
     """Incrementally reads and parses new lines from the event file.
 
-    Lines end at LF only; a trailing partial line waits in the buffer
-    until its LF arrives or :meth:`finish` takes it as complete.
+    The file is read as bytes and lines end at LF only, so a read that
+    stops inside a multi-byte character leaves it whole in the trailing
+    partial line. That line waits in the buffer until its LF arrives or
+    :meth:`finish` takes it as complete. A complete line that is not
+    UTF-8 counts as a violation.
     """
 
     def __init__(self, path: str | Path):
         super().__init__()
         self.path = Path(path)
         self._offset = 0
-        self._buffer = ""
+        self._buffer = b""
 
     def poll(self) -> bool:
         """Consume newly appended complete lines; True if one ended an epoch."""
         if not self.path.exists():
             return False
-        with open(self.path, "r", encoding="utf-8", newline="\n") as fh:
+        with open(self.path, "rb") as fh:
             fh.seek(self._offset)
             chunk = fh.read()
-            self._offset = fh.tell()
         if not chunk:
             return False
-        lines = (self._buffer + chunk).split("\n")
+        self._offset += len(chunk)
+        lines = (self._buffer + chunk).split(b"\n")
         self._buffer = lines.pop()
         ended = self.epochs_ended
-        self.feed(lines)
+        self.feed(self._decoded(lines))
         return self.epochs_ended > ended
 
     def finish(self) -> None:
         """Final poll, once the writer is gone: a last line needs no LF."""
         self.poll()
         if self._buffer:
-            self.feed([self._buffer])
-            self._buffer = ""
+            self.feed(self._decoded([self._buffer]))
+            self._buffer = b""
+
+    def _decoded(self, lines: list[bytes]) -> Iterable[str]:
+        for raw in lines:
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError:
+                self.violations += 1
 
 
 def run_sampler(
@@ -252,6 +368,7 @@ def run_sampler(
         raise ValueError("interval_ms must be positive")
     probes = list(probes)
     samples: list[PowerSample] = []
+    ordered: tuple[PowerSample, ...] = ()
     skipped_note = 0
 
     hardware = []
@@ -264,6 +381,13 @@ def run_sampler(
 
     tail = _EventTail(event_stream_path)
     started_wall_ms = time.time_ns() // 1_000_000
+
+    def snapshot(skipped_reads: int = 0) -> SampleLog:
+        nonlocal ordered
+        if len(ordered) != len(samples):  # samples only grow
+            ordered = tuple(sorted(samples, key=_SAMPLE_ORDER))
+        return _build_log(ordered, tail, interval_ms, started_wall_ms, bool(hardware), skipped_reads)
+
     next_hw_read = time.monotonic()
     while True:
         now = time.monotonic()
@@ -274,7 +398,7 @@ def run_sampler(
                     samples.extend(batch)
             next_hw_read = now + interval_ms / 1000.0
         if tail.poll() and on_tick is not None:
-            on_tick(_build_log(samples, tail, interval_ms, started_wall_ms, bool(hardware)))
+            on_tick(snapshot())
         if stop_condition():
             break
         time.sleep(min(interval_ms / 1000.0, _MAX_POLL_S))
@@ -285,32 +409,29 @@ def run_sampler(
             samples.extend(batch)
         skipped_note += probe.skipped_reads
     tail.finish()
-    return _build_log(samples, tail, interval_ms, started_wall_ms, bool(hardware), skipped_note)
+    return snapshot(skipped_note)
 
 
 def _build_log(
-    samples: list[PowerSample],
+    ordered: tuple[PowerSample, ...],
     tail: _EventTail,
     interval_ms: int,
     started_wall_ms: int,
     wall_clocked: bool,
-    skipped_reads: int = 0,
+    skipped_reads: int,
 ) -> SampleLog:
-    ordered = tuple(sorted(samples, key=lambda s: (s.timestamp_ms, s.source_id)))
-    events = tuple(sorted(tail.events, key=lambda e: e.timestamp_ms))
     warnings: list[str] = []
-    if not any(e.kind is EventKind.TRAIN_START for e in events):
+    if not tail.train_started:
         warnings.append("no TRAIN_START observed")
     else:
         # Clock-skew check: events must not precede the first sample point
         # of the run (wall start for hardware, trace start for replay).
         start = started_wall_ms if wall_clocked else (ordered[0].timestamp_ms if ordered else None)
-        first_event = min(e.timestamp_ms for e in events)
-        if start is not None and first_event < start:
+        if start is not None and tail.events[0].timestamp_ms < start:
             warnings.append("event timestamps precede sampler start (clock skew)")
     if skipped_reads:
         warnings.append(f"{skipped_reads} hardware reads skipped")
-    return SampleLog(ordered, events, interval_ms, tail.violations, tuple(warnings))
+    return SampleLog(ordered, tuple(tail.events), interval_ms, tail.violations, tuple(warnings))
 
 
 def phase_window(log: SampleLog, phase: str) -> tuple[int, int]:
@@ -318,31 +439,28 @@ def phase_window(log: SampleLog, phase: str) -> tuple[int, int]:
 
     Selectors: ``run`` (TRAIN_START..TRAIN_END), ``setup`` (TRAIN_START..
     EPOCH_START 1), ``epoch:<k>``. ``full`` is handled by slice_phase
-    directly and never reaches here.
+    directly and never reaches here. Each boundary is the first matching
+    event in the log.
     """
-    def only(kind: EventKind, index: int | None = None) -> EpochEvent:
-        for event in log.events:
-            if event.kind is kind and (index is None or event.epoch_index == index):
-                return event
-        raise UnknownPhase(f"no {kind.value}{'' if index is None else f' {index}'} in events")
+    boundaries = log.index.boundaries
+
+    def only(kind: EventKind, index: int = 0) -> int:
+        try:
+            return boundaries[kind, index].timestamp_ms
+        except KeyError:
+            raise UnknownPhase(f"no {kind.value}{f' {index}' if index else ''} in events") from None
 
     if phase == "run":
-        return only(EventKind.TRAIN_START).timestamp_ms, only(EventKind.TRAIN_END).timestamp_ms
+        return only(EventKind.TRAIN_START), only(EventKind.TRAIN_END)
     if phase == "setup":
-        return only(EventKind.TRAIN_START).timestamp_ms, only(EventKind.EPOCH_START, 1).timestamp_ms
+        return only(EventKind.TRAIN_START), only(EventKind.EPOCH_START, 1)
     if phase.startswith("epoch:"):
         try:
             k = int(phase.split(":", 1)[1])
         except ValueError as exc:
             raise UnknownPhase(f"bad phase selector {phase!r}") from exc
-        return only(EventKind.EPOCH_START, k).timestamp_ms, only(EventKind.EPOCH_END, k).timestamp_ms
+        return only(EventKind.EPOCH_START, k), only(EventKind.EPOCH_END, k)
     raise UnknownPhase(f"unknown phase selector {phase!r}")
-
-
-def _interpolate(before: PowerSample, after: PowerSample, ts: int) -> float:
-    span = after.timestamp_ms - before.timestamp_ms
-    frac = (ts - before.timestamp_ms) / span
-    return before.watts + (after.watts - before.watts) * frac
 
 
 def slice_window(log: SampleLog, start: int, end: int) -> SampleLog:
@@ -352,28 +470,24 @@ def slice_window(log: SampleLog, start: int, end: int) -> SampleLog:
     interpolated boundary samples where the window cuts between two real
     samples; that keeps adjacent windows exactly additive under the
     trapezoidal integrator. Boundaries outside a source's sampled span
-    are clamped to the data.
+    are clamped to the data. The window is found by bisecting the log's
+    index; only the slice itself is built.
     """
     if end < start:
         raise UnknownPhase(f"window end {end} before start {start}")
+    index = log.index
     sliced: list[PowerSample] = []
-    for source in log.sources():
-        series = log.samples_for(source)
-        inside = [s for s in series if start <= s.timestamp_ms <= end]
-        for boundary in (start, end):
-            if any(s.timestamp_ms == boundary for s in series):
-                continue  # real sample already sits on the boundary
-            before = next((s for s in reversed(series) if s.timestamp_ms < boundary), None)
-            after = next((s for s in series if s.timestamp_ms > boundary), None)
-            if before is None or after is None:
-                continue  # boundary outside sampled span: clamp
-            inside.append(PowerSample(source, boundary, _interpolate(before, after, boundary)))
-        sliced.extend(inside)
-    events = tuple(e for e in log.events if start <= e.timestamp_ms <= end)
+    for source, series in index.series.items():
+        lo, hi, w_start, w_end = series.window(start, end)
+        sliced.extend(map(PowerSample, repeat(source), series.timestamps[lo:hi], series.watts[lo:hi]))
+        for boundary, watts in ((start, w_start), (end, w_end)):
+            if watts is not None:
+                sliced.append(PowerSample(source, boundary, watts))
+    times = index.event_times
     return replace(
         log,
-        samples=tuple(sorted(sliced, key=lambda s: (s.timestamp_ms, s.source_id))),
-        events=events,
+        samples=tuple(sorted(sliced, key=_SAMPLE_ORDER)),
+        events=log.events[bisect_left(times, start) : bisect_right(times, end)],
     )
 
 

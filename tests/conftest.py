@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from carbonledger import carbon
 from carbonledger.forecast import PhaseSummary
@@ -48,6 +49,23 @@ def make_log(
     return SampleLog(samples, events, interval_ms, violations)
 
 
+@st.composite
+def power_series(draw, interval_ms: int, max_sources: int = 3) -> dict[str, list[tuple[int, float]]]:
+    """Per-source series with strictly increasing stamps; steps range from
+    1 ms to 12 intervals, so some gaps are wider than 5x the interval and
+    some exactly 5x. A source may have a single sample or none."""
+    series = {}
+    for i in range(draw(st.integers(1, max_sources))):
+        t = draw(st.integers(-50 * interval_ms, 50 * interval_ms))
+        pairs = []
+        for _ in range(draw(st.integers(0, 12))):
+            pairs.append((t, draw(st.floats(0.0, 1e4))))
+            t += draw(st.one_of(st.integers(1, 2 * interval_ms), st.integers(5 * interval_ms, 12 * interval_ms)))
+        if pairs:
+            series[f"s{i}"] = pairs
+    return series
+
+
 def make_record(
     label: str = "demo",
     hours: float = 1.0,
@@ -82,16 +100,22 @@ def make_record(
 
 
 def write_bad_ledger(path: Path, case: str) -> Path:
-    """A ledger whose second line is ``torn``, has an ``unknown-key`` or an ``unknown-version``."""
+    """A ledger whose second line is ``torn``, has an ``unknown-key`` or an
+    ``unknown-version``, or is a record labelled ``café`` torn inside the
+    ``é`` (``torn-multibyte``)."""
     path.write_text(json.dumps(make_record("first").to_dict(), sort_keys=True) + "\n", encoding="utf-8")
-    data = make_record("second").to_dict()
+    data = make_record("café" if case == "torn-multibyte" else "second").to_dict()
     if case == "unknown-key":
         data["surprise"] = 1
     if case == "unknown-version":
         data["v"] = 2
-    line = json.dumps(data, sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write((line[: len(line) // 2] if case == "torn" else line) + "\n")
+    line = json.dumps(data, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    if case == "torn":
+        line = line[: len(line) // 2]
+    if case == "torn-multibyte":
+        line = line[: line.index("é".encode("utf-8")) + 1]
+    with open(path, "ab") as fh:
+        fh.write(line + b"\n")
     return path
 
 

@@ -272,7 +272,7 @@ def test_report_empty_selection_exits_two(tmp_path, capsys):
     assert main(["report", "--ledger", str(tmp_path / "missing.jsonl")]) == 2
 
 
-@pytest.mark.parametrize("case", ["torn", "unknown-key", "unknown-version"])
+@pytest.mark.parametrize("case", ["torn", "torn-multibyte", "unknown-key", "unknown-version"])
 def test_report_bad_ledger_line_exits_two(tmp_path, capsys, case):
     path = write_bad_ledger(tmp_path / "ledger.jsonl", case)
     assert main(["report", "--ledger", str(path)]) == 2
@@ -382,8 +382,9 @@ def test_hardware_probe_without_fallback_aborts(tmp_path, monkeypatch, capsys):
     assert "unavailable" in capsys.readouterr().err
 
 
-def test_interrupt_forwards_to_child_and_flags_record(tmp_path):
-    import signal
+def _signal_tracked_run(tmp_path, signum):
+    """Run the tracker around a sleeping child, send it ``signum`` and
+    return its exit code and the record it appended."""
     import subprocess
     import time as time_mod
 
@@ -414,9 +415,24 @@ def test_interrupt_forwards_to_child_and_flags_record(tmp_path):
         assert time_mod.monotonic() < deadline, "child never started"
         time_mod.sleep(0.05)
     time_mod.sleep(0.3)  # let the wrapper reach its sampling loop
-    proc.send_signal(signal.SIGINT)
+    proc.send_signal(signum)
     proc.wait(timeout=15)
-    assert proc.returncode != 0  # child died from the forwarded interrupt
-    record = read_records(ledger_path)[0]
+    return proc.returncode, read_records(ledger_path)[0]
+
+
+def test_interrupt_forwards_to_child_and_flags_record(tmp_path):
+    import signal
+
+    returncode, record = _signal_tracked_run(tmp_path, signal.SIGINT)
+    assert returncode != 0  # child died from the forwarded interrupt
+    assert "interrupted" in record.quality_notes
+    assert "aborted" in record.quality_notes
+
+
+def test_terminate_forwards_to_child_and_flags_record(tmp_path):
+    import signal
+
+    returncode, record = _signal_tracked_run(tmp_path, signal.SIGTERM)
+    assert returncode != 0  # child died from the forwarded SIGTERM
     assert "interrupted" in record.quality_notes
     assert "aborted" in record.quality_notes

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonledger.energy import (
     GAP_FACTOR,
@@ -11,11 +14,12 @@ from carbonledger.energy import (
     average_power,
     closed_form_energy,
     integrate_energy,
+    window_energy,
 )
 from carbonledger.errors import InsufficientSamples
-from carbonledger.sampler import slice_window
+from carbonledger.sampler import SampleLog, slice_window
 
-from conftest import make_log
+from conftest import make_log, power_series
 from goldens import GOLDEN_ROWS, INVERTED_WATTS
 
 
@@ -206,3 +210,59 @@ def test_trapezoid_exact_on_piecewise_linear_oracle():
         assert integrate_energy(log, 1.0).raw_kwh == pytest.approx(
             analytic_piecewise_linear_kwh(points), rel=1e-9
         )
+
+
+def reference_slice(log: SampleLog, start: int, end: int) -> dict[str, list[tuple[int, float]]]:
+    """Slice with plain loops over the samples, no index: per source, the
+    samples inside the window plus an interpolated one at each boundary
+    that falls between two samples."""
+    sliced = {}
+    for source in sorted({s.source_id for s in log.samples}):
+        series = sorted(((s.timestamp_ms, s.watts) for s in log.samples if s.source_id == source), key=lambda p: p[0])
+        points = [(t, w) for t, w in series if start <= t <= end]
+        for boundary in (start, end):
+            before = [p for p in series if p[0] < boundary]
+            after = [p for p in series if p[0] > boundary]
+            if before and after and all(t != boundary for t, _ in series):
+                (t0, w0), (t1, w1) = before[-1], after[0]
+                points.append((boundary, w0 + (w1 - w0) * ((boundary - t0) / (t1 - t0))))
+        sliced[source] = sorted(points, key=lambda p: p[0])
+    return sliced
+
+
+def reference_window_kwh(log: SampleLog, start: int, end: int) -> float:
+    """The reference slice integrated term by term, summed with fsum per
+    source and across sources."""
+    gap_limit = GAP_FACTOR * log.sampling_interval_ms
+    per_source = []
+    for points in reference_slice(log, start, end).values():
+        terms = []
+        for (t0, w0), (t1, w1) in zip(points, points[1:]):
+            dt = t1 - t0
+            if dt > gap_limit:
+                terms.append(w0 * dt / MS_PER_HOUR / 1000.0)
+            else:
+                terms.append(0.5 * (w0 + w1) * dt / MS_PER_HOUR / 1000.0)
+        per_source.append(math.fsum(terms))
+    return math.fsum(per_source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_energy_equals_integrating_the_slice(data):
+    interval = data.draw(st.sampled_from([1, 10, 1000]))
+    log = make_log(data.draw(power_series(interval)), interval_ms=interval)
+    stamps = [s.timestamp_ms for s in log.samples] or [0]
+    # windows start and end on samples, between them, or outside the span
+    point = st.one_of(
+        st.sampled_from(stamps), st.integers(min(stamps) - 3 * interval, max(stamps) + 3 * interval)
+    )
+    a = data.draw(point)
+    a, b = sorted((a, data.draw(st.one_of(st.just(a), point))))
+    pue = data.draw(st.sampled_from([1.0, 1.55]))
+    sliced = slice_window(log, a, b)
+    expected = sorted((t, src, w) for src, points in reference_slice(log, a, b).items() for t, w in points)
+    assert [(s.timestamp_ms, s.source_id, s.watts) for s in sliced.samples] == expected
+    result = window_energy(log, a, b, pue)
+    assert result == integrate_energy(sliced, pue)
+    assert result.raw_kwh == reference_window_kwh(log, a, b)

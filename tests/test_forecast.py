@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonledger import carbon
-from carbonledger.energy import integrate_energy
-from carbonledger.errors import EpochIndexRegression, NoCompletedEpochs
-from carbonledger.forecast import PhaseSummary, predict, refine
-from carbonledger.sampler import slice_phase
+from carbonledger.energy import MS_PER_HOUR, integrate_energy
+from carbonledger.errors import EpochIndexRegression, NoCompletedEpochs, UnknownPhase
+from carbonledger.forecast import PhaseSummary, phase_summaries, predict, refine
+from carbonledger.sampler import phase_window, slice_phase, slice_window
 
-from conftest import make_log
+from conftest import make_log, power_series
 
 DE = carbon.CarbonIntensity("DE", 380.0)
 
@@ -153,3 +155,49 @@ def test_ramp_replay_fixture_documents_linearity_undershoot():
     assert early.predicted_kwh == pytest.approx(0.30, rel=1e-9)
     assert measured == pytest.approx(0.36, rel=1e-9)
     assert measured == pytest.approx(early.predicted_kwh * 1.2, rel=1e-9)
+
+
+def slice_based_summaries(log, pue, intensity):
+    """Phase summaries computed by slicing each phase out of the log and
+    integrating the slice."""
+
+    def summarize(phase: str, name: str) -> PhaseSummary:
+        start, end = phase_window(log, phase)
+        kwh = integrate_energy(slice_window(log, start, end), pue).facility_kwh
+        return PhaseSummary(name, (end - start) / MS_PER_HOUR, kwh, carbon.co2e(kwh, intensity))
+
+    try:
+        setup = summarize("setup", "setup")
+    except UnknownPhase:
+        setup = None
+    epochs = []
+    for k in range(1, log.epochs_completed() + 1):
+        try:
+            epochs.append(summarize(f"epoch:{k}", f"epoch {k}"))
+        except UnknownPhase:
+            break
+    return setup, epochs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_phase_summaries_equal_slicing_each_phase(data):
+    interval = data.draw(st.sampled_from([10, 1000]))
+    series = data.draw(power_series(interval, max_sources=2))
+    stamps = [t for pairs in series.values() for t, _ in pairs] or [0]
+    # steps may go back in time, which reverses a phase window
+    t = max(data.draw(st.integers(min(stamps) - 3 * interval, max(stamps))), 0)
+    step = st.integers(-2 * interval, 6 * interval)
+    lines = ["TRAIN_START %d" % t] if data.draw(st.booleans()) else []
+    for k in range(1, data.draw(st.integers(0, 6)) + 1):
+        t = max(t + data.draw(step), 0)
+        lines.append(f"EPOCH_START {k} {t}")
+        if data.draw(st.integers(0, 5)) == 0:
+            break  # the run stops inside epoch k
+        t = max(t + data.draw(step), 0)
+        lines.append(f"EPOCH_END {k} {t}")
+    else:
+        lines.append(f"TRAIN_END {max(t + data.draw(step), 0)}")
+    log = make_log(series, interval_ms=interval, event_lines=lines)
+    pue = data.draw(st.sampled_from([1.0, 1.4]))
+    assert phase_summaries(log, pue, DE) == slice_based_summaries(log, pue, DE)

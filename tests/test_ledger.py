@@ -164,7 +164,12 @@ def test_ledger_jsonl_round_trip_with_phases_and_notes(tmp_path):
 
 @pytest.mark.parametrize(
     "case, reason",
-    [("torn", "not JSON"), ("unknown-key", "surprise"), ("unknown-version", "version 2")],
+    [
+        ("torn", "not JSON"),
+        ("torn-multibyte", "not UTF-8"),
+        ("unknown-key", "surprise"),
+        ("unknown-version", "version 2"),
+    ],
 )
 def test_bad_ledger_line_raises_ledger_parse_error(tmp_path, case, reason):
     path = write_bad_ledger(tmp_path / "ledger.jsonl", case)

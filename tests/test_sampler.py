@@ -136,6 +136,27 @@ def test_run_sampler_parses_events_in_order(tmp_path):
     ]
 
 
+def test_events_kept_in_timestamp_order_file_order_among_ties():
+    lines = [
+        "TRAIN_START 50",
+        "EPOCH_START 1 10",
+        "METRIC 1 a 1 60",
+        "METRIC 1 b 2 10",
+        "EPOCH_END 1 60",
+        "TRAIN_END 5",
+    ]
+    events, violations = parse_events(lines)
+    assert violations == 0
+    assert [(e.kind.value, e.metric_name, e.timestamp_ms) for e in events] == [
+        ("TRAIN_END", None, 5),
+        ("EPOCH_START", None, 10),
+        ("METRIC", "b", 10),
+        ("TRAIN_START", None, 50),
+        ("METRIC", "a", 60),
+        ("EPOCH_END", None, 60),
+    ]
+
+
 def test_run_sampler_parses_unterminated_last_line(tmp_path):
     trace = constant_trace(tmp_path / "t.csv", 50.0, 30, 10)
     text = "\n".join(MINIMAL_RUN)  # no LF after TRAIN_END
@@ -176,7 +197,7 @@ def test_on_tick_gets_one_snapshot_per_epoch_end(tmp_path):
 
 EVENT_TOKENS = st.one_of(
     st.sampled_from(
-        ["TRAIN_START", "EPOCH_START", "EPOCH_END", "METRIC", "TRAIN_END", "loss", "0.5",
+        ["TRAIN_START", "EPOCH_START", "EPOCH_END", "METRIC", "TRAIN_END", "loss", "0.5", "lé", "λ", "🔥",
          " ", "\n", "\r", "\x1c", "\u2028", "TRAIN_START 0\n", "EPOCH_START 1 5\n", "EPOCH_END 1 9\n"]
     ),
     st.text(alphabet="0123456789", min_size=1, max_size=3),
@@ -187,20 +208,36 @@ EVENT_TOKENS = st.one_of(
 @given(st.data())
 def test_tail_over_any_chunking_matches_parse_events(data):
     text = "".join(data.draw(st.lists(EVENT_TOKENS, max_size=40)))
-    cuts = sorted(data.draw(st.sets(st.integers(0, len(text)), max_size=6)))
+    encoded = text.encode("utf-8")
+    # cuts fall between any two bytes, also inside a multi-byte character
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(encoded)), max_size=6)))
     expected_lines = text.split("\n")
     if expected_lines[-1] == "":
         expected_lines.pop()  # the LF ends the last line, it starts none
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events"
-        path.write_text("", encoding="utf-8")
+        path.write_bytes(b"")
         tail = _EventTail(path)
-        for a, b in zip([0, *cuts], [*cuts, len(text)]):
-            with open(path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(text[a:b])
+        for a, b in zip([0, *cuts], [*cuts, len(encoded)]):
+            with open(path, "ab") as fh:
+                fh.write(encoded[a:b])
             tail.poll()
         tail.finish()
     assert (tuple(tail.events), tail.violations) == parse_events(expected_lines)
+
+
+def test_tail_poll_inside_a_multibyte_character(tmp_path):
+    path = tmp_path / "events"
+    path.write_bytes(b"TRAIN_START 0\nEPOCH_START 1 5\nMETRIC 1 l\xc3")
+    tail = _EventTail(path)
+    tail.poll()  # stops between the two bytes of the \u00e9
+    assert [e.kind for e in tail.events] == [EventKind.TRAIN_START, EventKind.EPOCH_START]
+    with open(path, "ab") as fh:
+        fh.write(b"\xa9 0.5 7\nMETRIC 1 \xff 0.5 8\nTRAIN_END 9\n")
+    tail.poll()
+    assert tail.events[2].metric_name == "l\u00e9"
+    assert tail.events[-1].kind is EventKind.TRAIN_END
+    assert tail.violations == 1  # the complete line that is not UTF-8
 
 
 def test_run_sampler_counts_malformed_event_lines(tmp_path):
