@@ -3,11 +3,17 @@
 Ledger format: JSON Lines, one record per line, UTF-8, LF, with a schema
 version field ``v: 1`` in every line. Appends take an advisory lock and
 write the whole line in one call, so concurrent readers never see a torn
-record and earlier lines are never rewritten.
+record and earlier lines are never rewritten. When the ledger ends in an
+unterminated line (a torn write), the append first writes the missing LF,
+so the new record gets a line of its own and the torn line stays where it
+is, for ``read_records`` to report.
 
 The text report mirrors the classic efficiency-reporting table: hours to
 three decimals, kWh and kg to two, km to two. CSV and JSON renderings
-carry full precision.
+carry full precision. The JSON report is an array with one record per
+line, in the ledger's own layout: each line is the record's ledger
+object (sorted keys, ``v`` included), with non-ASCII characters escaped
+so the document is ASCII.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import fcntl
 import io
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import carbon
@@ -67,39 +73,57 @@ class ExperimentRecord:
             )
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["phase_breakdown"] = [asdict(p) for p in self.phase_breakdown]
+        """The record as its ledger object: plain dicts, lists and ``v``."""
+        data = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        data["phase_breakdown"] = [
+            {name: getattr(p, name) for name in _PHASE_FIELDS} for p in self.phase_breakdown
+        ]
         data["quality_notes"] = list(self.quality_notes)
         data["v"] = SCHEMA_VERSION
         return data
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentRecord":
-        fields = dict(data)
-        version = fields.pop("v", None)
+        values = dict(data)
+        version = values.pop("v", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unknown schema version {version!r}")
-        fields["phase_breakdown"] = tuple(PhaseSummary(**p) for p in fields.get("phase_breakdown", []))
-        fields["quality_notes"] = tuple(fields.get("quality_notes", []))
-        return ExperimentRecord(**fields)
+        values["phase_breakdown"] = tuple(PhaseSummary(**p) for p in values.get("phase_breakdown", []))
+        values["quality_notes"] = tuple(values.get("quality_notes", []))
+        return ExperimentRecord(**values)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
+_PHASE_FIELDS = tuple(f.name for f in fields(PhaseSummary))
 
 
 def append_record(ledger_path: str | Path, record: ExperimentRecord) -> int:
-    """Validate and append one record; returns its 1-based line position."""
+    """Validate and append one record; returns its 1-based line position.
+
+    An unterminated last line is ended with LF first, never rewritten, so
+    the record gets its own line and the torn line keeps its number.
+    """
     record.validate()
-    line = json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n"
+    line = (json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
     path = Path(ledger_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8", newline="\n") as fh:
+    with open(path, "a+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
+            # Counted as bytes in chunks: a ledger line torn inside a UTF-8
+            # character cannot fail the count, and the ledger is not held in memory.
+            fh.seek(0)
+            lines, last = 0, b"\n"
+            while chunk := fh.read(1 << 16):
+                lines += chunk.count(b"\n")
+                last = chunk[-1:]
+            if last != b"\n":
+                line = b"\n" + line
             fh.write(line)
             fh.flush()
-            with open(path, "r", encoding="utf-8") as reader:
-                position = sum(1 for _ in reader)
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    return position
+    return lines + line.count(b"\n")
 
 
 def read_records(ledger_path: str | Path) -> list[ExperimentRecord]:
@@ -162,7 +186,8 @@ def render_report(records: list[ExperimentRecord], format: str = "text-table") -
     if format == "csv":
         return _render_csv(records)
     if format == "json":
-        return json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True) + "\n"
+        # No indent: with one, json.dumps falls back to its pure-Python encoder.
+        return "[\n" + ",\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in records) + "\n]\n"
     raise ValueError(f"unknown report format {format!r}")
 
 

@@ -19,7 +19,8 @@ epoch indices that do not run 1, 2, 3, ..., anything after TRAIN_END).
 
 Replay probes are drained verbatim into the log, so with replay probes the
 log is a pure function of (traces, event file, interval) and reruns are
-identical. Hardware probes are polled once per ``interval_ms``. Events are
+identical. Hardware probes are polled once per ``interval_ms``, on a grid
+fixed at the first read, so a late read does not shift later ones. Events are
 kept in timestamp order as they are admitted, and a snapshot re-sorts the
 samples only when new ones arrived since the last.
 
@@ -358,8 +359,10 @@ def run_sampler(
     """Drive sampling until ``stop_condition`` returns True.
 
     Replay probes are drained in full up front; hardware probes are read
-    once per interval. The event file is polled at least every 100 ms so
-    a fast child is not held hostage by a long sampling interval.
+    once per interval, on a grid fixed at the first read, and a read that
+    runs late skips the slots it missed rather than bursting. The event
+    file is polled at least every 100 ms so a fast child is not held
+    hostage by a long sampling interval.
     ``on_tick``, when given, receives a snapshot log after every poll that
     admitted an EPOCH_END (used for live forecasting). An unterminated
     last event line is parsed once ``stop_condition`` is true.
@@ -388,20 +391,28 @@ def run_sampler(
             ordered = tuple(sorted(samples, key=_SAMPLE_ORDER))
         return _build_log(ordered, tail, interval_ms, started_wall_ms, bool(hardware), skipped_reads)
 
-    next_hw_read = time.monotonic()
+    interval_s = interval_ms / 1000.0
+    first_hw_read = next_hw_read = time.monotonic()
+    hw_slot = 0
     while True:
-        now = time.monotonic()
-        if hardware and now >= next_hw_read:
+        if hardware and time.monotonic() >= next_hw_read:
             for probe in hardware:
                 batch = probe.read()
                 if batch:
                     samples.extend(batch)
-            next_hw_read = now + interval_ms / 1000.0
+            # Reads are due on the grid first_hw_read + k * interval: a late
+            # or slow read delays no later one; the slots it missed are skipped.
+            elapsed = time.monotonic() - first_hw_read
+            hw_slot = max(hw_slot + 1, math.floor(elapsed / interval_s) + 1)
+            next_hw_read = first_hw_read + hw_slot * interval_s
         if tail.poll() and on_tick is not None:
             on_tick(snapshot())
         if stop_condition():
             break
-        time.sleep(min(interval_ms / 1000.0, _MAX_POLL_S))
+        pause = min(interval_s, _MAX_POLL_S)
+        if hardware:
+            pause = min(pause, max(next_hw_read - time.monotonic(), 0.0))
+        time.sleep(pause)
     # Final read per source, then whatever the child wrote last.
     for probe in hardware:
         batch = probe.read()

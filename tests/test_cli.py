@@ -11,7 +11,7 @@ from carbonledger.cli import load_config_file, main, parse_probe_spec
 from carbonledger.ledger import read_records
 from carbonledger.probe import ProbeKind
 
-from conftest import constant_trace, golden_records, write_bad_ledger
+from conftest import constant_trace, golden_records, make_record, write_bad_ledger
 from goldens import GOLDEN_ROWS
 
 from carbonledger import ledger as ledger_mod
@@ -129,6 +129,18 @@ def test_run_started_at_is_stamped_before_the_child_runs(tmp_path):
     # started_at keeps whole seconds, so a stamp taken after the 2 s child
     # would trail the return by less than 1 s plus the bookkeeping time
     assert (returned - started).total_seconds() > 1.5
+
+
+def test_run_appends_past_a_line_torn_inside_a_character(tmp_path, capsys):
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = write_bad_ledger(tmp_path / "ledger.jsonl", "torn-multibyte")
+    before = ledger_path.read_bytes()
+    args = ["run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--events", str(tmp_path / "e.log")]
+    assert main([*args, "--", "true"]) == 0
+    after = ledger_path.read_bytes()
+    assert after.startswith(before)
+    assert after.count(b"\n") == before.count(b"\n") + 1
+    assert "Experiment" in capsys.readouterr().out
 
 
 def test_run_child_failure_flags_aborted_and_propagates(tmp_path, triples_file):
@@ -254,6 +266,18 @@ def test_report_json_round_trips(tmp_path, capsys):
     assert main(["report", "--ledger", str(path), "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert [r["label"] for r in parsed] == [row[0] for row in GOLDEN_ROWS]
+
+
+def test_report_json_out_file_equals_stdout(tmp_path, capsys):
+    path = tmp_path / "ledger.jsonl"
+    ledger_mod.append_record(path, make_record("café"))
+    args = ["report", "--ledger", str(path), "--format", "json"]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    out_file = tmp_path / "report.json"
+    assert main([*args, "--out", str(out_file)]) == 0
+    assert out_file.read_bytes() == stdout.encode("ascii")
+    assert json.loads(stdout)[0]["label"] == "café"
 
 
 def test_report_filter_and_out_file(tmp_path):

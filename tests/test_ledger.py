@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonledger.errors import EmptySelection, InconsistentRecord, LedgerParseError, UnknownBaseline
 from carbonledger.forecast import PhaseSummary
 from carbonledger.ledger import (
+    ExperimentRecord,
     append_record,
     compare,
     parse_report_json,
@@ -178,3 +182,72 @@ def test_bad_ledger_line_raises_ledger_parse_error(tmp_path, case, reason):
     assert caught.value.path == str(path)
     assert caught.value.line_no == 2
     assert reason in caught.value.reason
+
+
+def test_append_after_torn_unterminated_line_starts_a_new_line(tmp_path):
+    path = write_bad_ledger(tmp_path / "ledger.jsonl", "torn-multibyte")
+    path.write_bytes(path.read_bytes()[:-1])  # the torn line loses its LF too
+    before = path.read_bytes()
+    record = make_record("third")
+    assert append_record(path, record) == 3
+    data = path.read_bytes()
+    assert data.startswith(before)
+    assert data.count(b"\n") == 3
+    last = data.splitlines()[-1]
+    assert ExperimentRecord.from_dict(json.loads(last)) == record
+    with pytest.raises(LedgerParseError) as caught:
+        read_records(path)
+    assert caught.value.line_no == 2
+
+
+def asdict_reference(record: ExperimentRecord) -> dict:
+    """The ledger object as built with dataclasses.asdict."""
+    data = asdict(record)
+    data["phase_breakdown"] = [asdict(p) for p in record.phase_breakdown]
+    data["quality_notes"] = list(record.quality_notes)
+    data["v"] = 1
+    return data
+
+
+_labels = st.one_of(st.sampled_from(["café", "λ", "plain"]), st.text(max_size=12))
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ledger_records(draw) -> ExperimentRecord:
+    phases = tuple(
+        PhaseSummary(draw(_labels), draw(_non_negative), draw(_non_negative), draw(_non_negative))
+        for _ in range(draw(st.integers(0, 10)))
+    )
+    return ExperimentRecord(
+        experiment_id=draw(st.text(max_size=12)),
+        label=draw(_labels),
+        started_at=draw(st.text(max_size=25)),
+        duration_hours=draw(_floats),
+        epochs_completed=draw(st.integers(0, 10**6)),
+        energy_kwh=draw(_floats),
+        intensity_g_per_kwh=draw(_floats),
+        pue=draw(_floats),
+        co2e_kg=draw(_floats),
+        car_km=draw(_floats),
+        car_factor_kg_per_km=draw(_floats),
+        region=draw(_labels),
+        phase_breakdown=phases,
+        quality_notes=tuple(draw(st.lists(_labels, max_size=3))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ledger_records(), min_size=1, max_size=4))
+def test_json_report_is_one_ledger_object_per_line(records):
+    for record in records:
+        assert record.to_dict() == asdict_reference(record)
+    document = render_report(records, "json")
+    assert parse_report_json(document) == records
+    assert document.isascii()
+    lines = document.splitlines()
+    assert len(lines) == len(records) + 2
+    assert (lines[0], lines[-1]) == ("[", "]")
+    for line, record in zip(lines[1:-1], records):
+        assert json.loads(line.removesuffix(",")) == record.to_dict()

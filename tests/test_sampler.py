@@ -283,6 +283,37 @@ def test_run_sampler_polls_hardware_probes_on_cadence(tmp_path):
     assert {s.watts for s in log.samples_for("gpu1")} == {56.0}
 
 
+def test_run_sampler_reads_hardware_on_a_fixed_grid(tmp_path, monkeypatch):
+    # Fake clock in exact binary fractions of a second: a read costs 1/16 s,
+    # the third one 2.5 intervals; polls cost nothing.
+    from types import SimpleNamespace
+
+    from carbonledger import sampler as sampler_mod
+    from carbonledger.probe import ProbeDescriptor, ProbeKind, open_probe
+
+    clock = {"now": 1000.0}
+
+    def sleep(seconds: float) -> None:
+        assert seconds >= 0.0
+        clock["now"] += seconds
+
+    fake_time = SimpleNamespace(monotonic=lambda: clock["now"], sleep=sleep, time_ns=lambda: 0)
+    monkeypatch.setattr(sampler_mod, "time", fake_time)
+    read_at = []
+
+    def reader(index: int) -> float:
+        read_at.append(clock["now"])
+        clock["now"] += 0.625 if len(read_at) == 3 else 0.0625
+        return 50.0
+
+    probe = open_probe(ProbeDescriptor("gpu", ProbeKind.GPU, 1), reader=reader)
+    events = write_events(tmp_path / "e.log", MINIMAL_RUN)
+    run_sampler([probe], 250, events, stop_condition=lambda: clock["now"] >= 1003.0)
+    in_loop = read_at[:-1]  # the last read is the final one, made at stop time
+    slots = [(t - 1000.0) / 0.25 for t in in_loop]
+    assert slots == [0, 1, 2, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
 def test_run_sampler_rejects_non_positive_interval(tmp_path):
     with pytest.raises(ValueError):
         run_sampler([], 0, tmp_path / "e.log", stop_condition=lambda: True)
