@@ -19,7 +19,9 @@ planned_epochs, car_factor).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import math
 import os
 import signal
 import subprocess
@@ -119,23 +121,39 @@ def _open_probes(specs: list[str], fallbacks: list[str]) -> list[Probe]:
     return probes
 
 
+def _number(cast, flag, config: dict[str, str], key: str):
+    """A numeric setting; a config value that is not a number names its key."""
+    value = _resolve(flag, config, key)
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: expected a number, got {value!r}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
+    with contextlib.ExitStack() as cleanup:
+        return _run(args, cleanup)
+
+
+def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
+    """``run``; a temporary event file is removed by ``cleanup`` once the run ends."""
+    try:
+        config = load_config_file(args.config) if args.config else {}
+        pue = _number(float, args.pue, config, "pue")
+        interval_ms = _number(int, args.interval_ms, config, "interval_ms")
+        planned_epochs = _number(int, args.planned_epochs, config, "planned_epochs")
+        car_factor = _number(float, args.car_factor, config, "car_factor")
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     label = _resolve(args.label, config, "label")
     region = _resolve(args.region, config, "region")
-    pue = float(_resolve(args.pue, config, "pue"))
-    interval_ms = int(_resolve(args.interval_ms, config, "interval_ms"))
     ledger_path = _resolve(args.ledger, config, "ledger")
     registry_path = _resolve(args.registry, config, "registry")
-    planned_epochs = int(_resolve(args.planned_epochs, config, "planned_epochs"))
-    car_factor = float(_resolve(args.car_factor, config, "car_factor"))
     events_path = _resolve(args.events, config, "events")
-    if events_path is None:
-        fd, events_path = tempfile.mkstemp(prefix="carbonledger-", suffix=".events")
-        os.close(fd)
     probe_specs = args.probe or ([config["probe"]] if "probe" in config else [])
-    if pue < 1:
-        print("pue must be >= 1", file=sys.stderr)
+    if not (1 <= pue < math.inf and interval_ms >= 1 and 0 < car_factor < math.inf):
+        print("pue must be >= 1, interval-ms >= 1 and car-factor > 0, all finite", file=sys.stderr)
         return 2
     if not probe_specs:
         print("at least one --probe is required", file=sys.stderr)
@@ -156,6 +174,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
+    if events_path is None:
+        fd, events_path = tempfile.mkstemp(prefix="carbonledger-", suffix=".events")
+        os.close(fd)
+        cleanup.callback(os.unlink, events_path)
     # the event file is this run's private channel: start it empty so a
     # reused path cannot leak a previous run's events into the log
     events_file = Path(events_path)
@@ -270,8 +292,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if args.kwh_per_epoch <= 0 or args.epochs < 1 or args.setup_kwh < 0:
-        print("kwh-per-epoch must be > 0, epochs >= 1 and setup-kwh >= 0", file=sys.stderr)
+    if args.kwh_per_epoch <= 0 or args.epochs < 1 or args.setup_kwh < 0 or not 0 < args.car_factor < math.inf:
+        print("kwh-per-epoch must be > 0, epochs >= 1, setup-kwh >= 0 and car-factor finite and > 0", file=sys.stderr)
         return 2
     if args.intensity is not None:
         grams = args.intensity
@@ -284,11 +306,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
             print(f"region {args.region!r} not in intensity registry", file=sys.stderr)
             return 2
         grams = registry[args.region].grams_per_kwh
-    kwh = args.setup_kwh + args.kwh_per_epoch * args.epochs
-    report = carbon.emissions(kwh, grams, car_kg_per_km=args.car_factor)
-    print(f"predicted energy: {report.energy_kwh:.3f} kWh")
-    print(f"predicted co2e: {report.co2e_kg:.3f} kg")
-    print(f"car equivalent: {report.car_km:.3f} km")
+    predicted = forecast.Forecast(
+        basis_epochs=1,
+        planned_epochs=args.epochs,
+        includes_setup=True,
+        intensity_g_per_kwh=grams,
+        epoch_mean_hours=0.0,
+        epoch_mean_kwh=args.kwh_per_epoch,
+        setup_kwh=args.setup_kwh,
+    )
+    print(f"predicted energy: {predicted.predicted_kwh:.3f} kWh")
+    print(f"predicted co2e: {predicted.predicted_co2e_kg:.3f} kg")
+    print(f"car equivalent: {carbon.car_km_equivalent(predicted.predicted_co2e_kg, args.car_factor):.3f} km")
     return 0
 
 

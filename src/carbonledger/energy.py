@@ -7,11 +7,12 @@ kWh, facility overhead as a PUE multiplier >= 1 applied on top of the raw
 device-side figure.
 
 Every trace integral goes through :func:`window_energy`. It reads the
-per-source index a :class:`~carbonledger.sampler.SampleLog` builds once:
-timestamp and watts columns plus one kWh term per segment between
-consecutive samples, computed by :func:`segment_kwh` with the gap rule
-folded in. A window's energy per source is ``math.fsum`` of the terms of
-the segments inside it, found by ``bisect``, plus the two partial
+columns a :class:`~carbonledger.sampler.SampleLog` stores per source
+(:class:`~carbonledger.sampler.SourceSeries`): timestamps and watts, plus
+one kWh term per segment between consecutive samples, computed by
+:func:`segment_kwh` with the gap rule folded in and cached on the series
+on first use. A window's energy per source is ``math.fsum`` of the terms
+of the segments inside it, found by ``bisect``, plus the two partial
 segments where the window cuts between samples. ``fsum`` is correctly
 rounded, so a window sums to exactly what integrating its slice gives;
 prefix-sum differences would not.
@@ -93,7 +94,7 @@ def _source_window_kwh(series: SourceSeries, start: float, end: float, gap_limit
     """kWh of one source over [start, end] and the gaps it crossed.
 
     The same segments as in ``slice_window``'s view of the window: the
-    indexed terms between the samples inside it, plus the partial segments
+    cached terms between the samples inside it, plus the partial segments
     to the interpolated points where it cuts between two samples.
     """
     lo, hi, w_start, w_end = series.window(start, end)
@@ -108,8 +109,9 @@ def _source_window_kwh(series: SourceSeries, start: float, end: float, gap_limit
     gaps = sum(t1 - t0 > gap_limit_ms for t0, _, t1, _ in edges)
     terms = [segment_kwh(t1 - t0, w0, w1, gap_limit_ms) for t0, w0, t1, w1 in edges]
     if hi - lo >= 2:
-        gaps += bisect_left(series.gap_segments, hi - 1) - bisect_left(series.gap_segments, lo)
-        return math.fsum(chain(series.kwh_terms[lo : hi - 1], terms)), gaps
+        kwh_terms, gap_segments = series.energy_terms(gap_limit_ms)
+        gaps += bisect_left(gap_segments, hi - 1) - bisect_left(gap_segments, lo)
+        return math.fsum(chain(kwh_terms[lo : hi - 1], terms)), gaps
     return math.fsum(terms), gaps
 
 
@@ -124,13 +126,12 @@ def window_energy(log: SampleLog, start: float, end: float, pue: float) -> Energ
         raise ValueError("pue must be >= 1")
     if end < start:
         raise UnknownPhase(f"window end {end} before start {start}")
-    index = log.index
-    if index.negative_watts:
+    if any(series.negative_watts for series in log.series.values()):
         raise ValueError("log contains negative-watt samples")
     gap_limit = GAP_FACTOR * log.sampling_interval_ms
     per_source_kwh: list[float] = []
     notes: list[str] = []
-    for source, series in index.series.items():
+    for source, series in log.series.items():
         kwh, gaps = _source_window_kwh(series, start, end, gap_limit)
         per_source_kwh.append(kwh)
         if gaps:
@@ -164,18 +165,18 @@ class AveragePower:
 
 def average_power(log: SampleLog) -> AveragePower:
     """Time-weighted average power; requires >= 2 samples per source."""
-    index = log.index
-    if not index.series:
+    if not log.series:
         raise InsufficientSamples("log has no samples")
+    gap_limit = GAP_FACTOR * log.sampling_interval_ms
     per_source: dict[str, float] = {}
     first_ms = math.inf
     last_ms = -math.inf
     total_kwh_terms: list[float] = []
-    for source, series in index.series.items():
+    for source, series in log.series.items():
         ts = series.timestamps
         if len(ts) < 2:
             raise InsufficientSamples(f"source {source} has {len(ts)} sample(s), need >= 2")
-        kwh = math.fsum(series.kwh_terms)
+        kwh = math.fsum(series.energy_terms(gap_limit)[0])
         span_hours = (ts[-1] - ts[0]) / MS_PER_HOUR
         per_source[source] = kwh * 1000.0 / span_hours
         first_ms = min(first_ms, ts[0])

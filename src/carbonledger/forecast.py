@@ -161,6 +161,7 @@ def run_duration_hours(log: SampleLog) -> float:
     with contextlib.suppress(UnknownPhase):
         start, end = sampler.phase_window(log, "run")
         return (end - start) / energy.MS_PER_HOUR
-    if len(log.samples) >= 2:
-        return (log.samples[-1].timestamp_ms - log.samples[0].timestamp_ms) / energy.MS_PER_HOUR
+    columns = [series.timestamps for series in log.series.values()]
+    if sum(map(len, columns)) >= 2:
+        return (max(ts[-1] for ts in columns) - min(ts[0] for ts in columns)) / energy.MS_PER_HOUR
     return 0.0

@@ -21,16 +21,16 @@ Replay probes are drained verbatim into the log, so with replay probes the
 log is a pure function of (traces, event file, interval) and reruns are
 identical. Hardware probes are polled once per ``interval_ms``, on a grid
 fixed at the first read, so a late read does not shift later ones. Events are
-kept in timestamp order as they are admitted, and a snapshot re-sorts the
-samples only when new ones arrived since the last.
+kept in timestamp order as they are admitted.
 
-A log is indexed once, on first use (:attr:`SampleLog.index`): per source
-a timestamp column, a watts column and one kWh term per segment between
-consecutive samples with the gap rule folded in; the phase boundary
-events keyed by ``(kind, epoch)``; and the event timestamps. Phase
-windows resolve by dictionary lookup, and :func:`slice_window` and
+A log stores each source's samples as columns (:class:`SourceSeries`);
+rows (:attr:`SampleLog.samples`) are a view built on request. The sampler
+appends every read straight into its source's columns, and a snapshot
+copies only the columns that grew since the last one, so the kWh terms a
+series caches are shared by every log that holds it. Phase windows resolve
+by dictionary lookup, and :func:`slice_window` and
 :func:`~carbonledger.energy.window_energy` find a window's samples by
-``bisect``, so no path rescans the whole log per phase.
+``bisect``; no path rescans the whole log per phase.
 """
 
 from __future__ import annotations
@@ -39,15 +39,17 @@ import math
 import time
 from array import array
 from bisect import bisect_left, bisect_right, insort_right
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from heapq import merge
 from itertools import repeat
 from operator import attrgetter, sub
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .energy import GAP_FACTOR, segment_kwh
+from .energy import segment_kwh
 from .errors import EventProtocolViolation, UnknownPhase
 from .probe import Probe, PowerSample, ProbeKind
 
@@ -57,9 +59,7 @@ EVENTS_ENV = "CARBONLEDGER_EVENTS"
 # is long, so child exit is noticed promptly.
 _MAX_POLL_S = 0.1
 
-_SAMPLE_ORDER = attrgetter("timestamp_ms", "source_id")
 _TIMESTAMP = attrgetter("timestamp_ms")
-_WATTS = attrgetter("watts")
 
 
 class EventKind(Enum):
@@ -88,15 +88,33 @@ class EpochEvent:
 class SourceSeries:
     """One source's samples as columns, in timestamp order.
 
-    ``kwh_terms[i]`` is the energy of the segment from sample i to sample
-    i + 1 (:func:`~carbonledger.energy.segment_kwh`); ``gap_segments``
-    lists, ascending, the i whose segment is wider than the gap limit.
+    Equal stamps keep the order they were recorded in. The columns must
+    not change once the series is built: the kWh terms cached on it are
+    shared by every log that holds it.
     """
 
     timestamps: array
     watts: array
-    kwh_terms: array
-    gap_segments: array
+    _terms: dict[float, tuple[array, array]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def negative_watts(self) -> bool:
+        return bool(self.watts) and min(self.watts) < 0
+
+    def energy_terms(self, gap_limit_ms: float) -> tuple[array, array]:
+        """``kwh_terms[i]`` is the energy of the segment from sample i to
+        sample i + 1 (:func:`~carbonledger.energy.segment_kwh`);
+        ``gap_segments`` lists, ascending, the i whose segment is wider
+        than the gap limit. Computed once per gap limit.
+        """
+        if gap_limit_ms not in self._terms:
+            ts, ws = self.timestamps, self.watts
+            dts = array("q", map(sub, ts[1:], ts))
+            self._terms[gap_limit_ms] = (
+                array("d", map(segment_kwh, dts, ws, ws[1:], repeat(gap_limit_ms))),
+                array("q", [i for i, dt in enumerate(dts) if dt > gap_limit_ms]),
+            )
+        return self._terms[gap_limit_ms]
 
     def window(self, start: float, end: float) -> tuple[int, int, float | None, float | None]:
         """Samples ``lo:hi`` lie in [start, end]; the watts at start and at
@@ -117,75 +135,44 @@ class SourceSeries:
 
 
 @dataclass(frozen=True)
-class LogIndex:
-    """What every phase and window lookup needs, built once per log.
-
-    ``series`` is keyed by source id in sorted order. ``boundaries`` maps
-    ``(kind, epoch)`` of every non-METRIC event to its first occurrence in
-    the log (epoch 0 for TRAIN_START / TRAIN_END). ``event_times`` holds
-    the stamps of the log's events, which are in timestamp order.
-    """
-
-    series: dict[str, SourceSeries]
-    negative_watts: bool
-    boundaries: dict[tuple[EventKind, int], EpochEvent]
-    event_times: list[int]
-
-    @classmethod
-    def build(cls, log: SampleLog) -> LogIndex:
-        gap_limit = GAP_FACTOR * log.sampling_interval_ms
-        by_source: dict[str, list[PowerSample]] = {}
-        for sample in log.samples:
-            by_source.setdefault(sample.source_id, []).append(sample)
-        series: dict[str, SourceSeries] = {}
-        for source in sorted(by_source):
-            group = by_source[source]
-            group.sort(key=_TIMESTAMP)  # stable; a no-op on a well-formed log
-            ts = array("q", map(_TIMESTAMP, group))
-            ws = array("d", map(_WATTS, group))
-            dts = array("q", map(sub, ts[1:], ts))
-            series[source] = SourceSeries(
-                ts,
-                ws,
-                array("d", map(segment_kwh, dts, ws, ws[1:], repeat(gap_limit))),
-                array("q", [i for i, dt in enumerate(dts) if dt > gap_limit]),
-            )
-        metric = EventKind.METRIC
-        return cls(
-            series,
-            any(min(s.watts) < 0 for s in series.values()),
-            # reversed, so the first occurrence is the one that stays
-            {(e.kind, e.epoch_index): e for e in reversed(log.events) if e.kind is not metric},
-            [e.timestamp_ms for e in log.events],
-        )
-
-
-@dataclass(frozen=True)
 class SampleLog:
     """Everything one monitored run produced, ordered and immutable.
 
-    samples are ordered by (timestamp, source_id); events by timestamp
-    (stable, so file order breaks ties). ``violations`` counts skipped
-    malformed or out-of-protocol event lines; ``warnings`` carries run
-    level flags such as a missing TRAIN_START.
+    ``series`` maps each source id, in sorted order, to its samples; a
+    source with no sample has no entry. ``events`` are ordered by
+    timestamp (stable, so file order breaks ties). ``violations`` counts
+    skipped malformed or out-of-protocol event lines; ``warnings`` carries
+    run level flags such as a missing TRAIN_START.
     """
 
-    samples: tuple[PowerSample, ...]
+    series: dict[str, SourceSeries]
     events: tuple[EpochEvent, ...]
     sampling_interval_ms: int
     violations: int = 0
     warnings: tuple[str, ...] = ()
 
+    @property
+    def samples(self) -> tuple[PowerSample, ...]:
+        """Every sample as a row, ordered by (timestamp, source_id), in
+        recorded order among equal pairs; built anew on each access."""
+        rows = (self.samples_for(source) for source in self.series)
+        return tuple(merge(*rows, key=_TIMESTAMP))
+
     @cached_property
-    def index(self) -> LogIndex:
-        """The log's per-source columns and event lookups, built on first use."""
-        return LogIndex.build(self)
+    def boundaries(self) -> dict[tuple[EventKind, int], EpochEvent]:
+        """``(kind, epoch)`` of every non-METRIC event mapped to its first
+        occurrence (epoch 0 for TRAIN_START / TRAIN_END)."""
+        # reversed, so the first occurrence is the one that stays
+        return {(e.kind, e.epoch_index): e for e in reversed(self.events) if e.kind is not EventKind.METRIC}
 
     def sources(self) -> tuple[str, ...]:
-        return tuple(self.index.series)
+        return tuple(self.series)
 
     def samples_for(self, source_id: str) -> tuple[PowerSample, ...]:
-        return tuple(s for s in self.samples if s.source_id == source_id)
+        series = self.series.get(source_id)
+        if series is None:
+            return ()
+        return tuple(map(PowerSample, repeat(source_id), series.timestamps, series.watts))
 
     def events_of(self, kind: EventKind) -> tuple[EpochEvent, ...]:
         return tuple(e for e in self.events if e.kind is kind)
@@ -370,15 +357,15 @@ def run_sampler(
     if interval_ms <= 0:
         raise ValueError("interval_ms must be positive")
     probes = list(probes)
-    samples: list[PowerSample] = []
-    ordered: tuple[PowerSample, ...] = ()
+    columns: dict[str, tuple[array, array]] = defaultdict(lambda: (array("q"), array("d")))  # timestamps, watts
+    frozen: dict[str, SourceSeries] = {}
     skipped_note = 0
 
     hardware = []
     for probe in probes:
         if probe.descriptor.kind is ProbeKind.REPLAY:
             while (batch := probe.read()) is not None:
-                samples.extend(batch)
+                _record(columns, batch)
         else:
             hardware.append(probe)
 
@@ -386,10 +373,23 @@ def run_sampler(
     started_wall_ms = time.time_ns() // 1_000_000
 
     def snapshot(skipped_reads: int = 0) -> SampleLog:
-        nonlocal ordered
-        if len(ordered) != len(samples):  # samples only grow
-            ordered = tuple(sorted(samples, key=_SAMPLE_ORDER))
-        return _build_log(ordered, tail, interval_ms, started_wall_ms, bool(hardware), skipped_reads)
+        for source, (ts, ws) in columns.items():
+            # columns only grow, so an unchanged length means unchanged data
+            if source not in frozen or len(frozen[source].timestamps) != len(ts):
+                frozen[source] = SourceSeries(array("q", ts), array("d", ws))
+        warnings: list[str] = []
+        if not tail.train_started:
+            warnings.append("no TRAIN_START observed")
+        else:
+            # Clock-skew check: events must not precede the first sample point
+            # of the run (wall start for hardware, trace start for replay).
+            start = started_wall_ms if hardware else min((s.timestamps[0] for s in frozen.values()), default=None)
+            if start is not None and tail.events[0].timestamp_ms < start:
+                warnings.append("event timestamps precede sampler start (clock skew)")
+        if skipped_reads:
+            warnings.append(f"{skipped_reads} hardware reads skipped")
+        series = {source: frozen[source] for source in sorted(frozen)}
+        return SampleLog(series, tuple(tail.events), interval_ms, tail.violations, tuple(warnings))
 
     interval_s = interval_ms / 1000.0
     first_hw_read = next_hw_read = time.monotonic()
@@ -397,9 +397,7 @@ def run_sampler(
     while True:
         if hardware and time.monotonic() >= next_hw_read:
             for probe in hardware:
-                batch = probe.read()
-                if batch:
-                    samples.extend(batch)
+                _record(columns, probe.read() or ())
             # Reads are due on the grid first_hw_read + k * interval: a late
             # or slow read delays no later one; the slots it missed are skipped.
             elapsed = time.monotonic() - first_hw_read
@@ -415,34 +413,24 @@ def run_sampler(
         time.sleep(pause)
     # Final read per source, then whatever the child wrote last.
     for probe in hardware:
-        batch = probe.read()
-        if batch:
-            samples.extend(batch)
+        _record(columns, probe.read() or ())
         skipped_note += probe.skipped_reads
     tail.finish()
     return snapshot(skipped_note)
 
 
-def _build_log(
-    ordered: tuple[PowerSample, ...],
-    tail: _EventTail,
-    interval_ms: int,
-    started_wall_ms: int,
-    wall_clocked: bool,
-    skipped_reads: int,
-) -> SampleLog:
-    warnings: list[str] = []
-    if not tail.train_started:
-        warnings.append("no TRAIN_START observed")
-    else:
-        # Clock-skew check: events must not precede the first sample point
-        # of the run (wall start for hardware, trace start for replay).
-        start = started_wall_ms if wall_clocked else (ordered[0].timestamp_ms if ordered else None)
-        if start is not None and tail.events[0].timestamp_ms < start:
-            warnings.append("event timestamps precede sampler start (clock skew)")
-    if skipped_reads:
-        warnings.append(f"{skipped_reads} hardware reads skipped")
-    return SampleLog(ordered, tuple(tail.events), interval_ms, tail.violations, tuple(warnings))
+def _record(columns: dict[str, tuple[array, array]], batch: Iterable[PowerSample]) -> None:
+    """Append each sample to its source's columns, keeping them in
+    timestamp order; equal stamps keep arrival order, as a stable sort would."""
+    for sample in batch:
+        ts, ws = columns[sample.source_id]
+        if ts and sample.timestamp_ms < ts[-1]:
+            k = bisect_right(ts, sample.timestamp_ms)
+            ts.insert(k, sample.timestamp_ms)
+            ws.insert(k, sample.watts)
+        else:
+            ts.append(sample.timestamp_ms)
+            ws.append(sample.watts)
 
 
 def phase_window(log: SampleLog, phase: str) -> tuple[int, int]:
@@ -453,7 +441,7 @@ def phase_window(log: SampleLog, phase: str) -> tuple[int, int]:
     directly and never reaches here. Each boundary is the first matching
     event in the log.
     """
-    boundaries = log.index.boundaries
+    boundaries = log.boundaries
 
     def only(kind: EventKind, index: int = 0) -> int:
         try:
@@ -481,25 +469,26 @@ def slice_window(log: SampleLog, start: int, end: int) -> SampleLog:
     interpolated boundary samples where the window cuts between two real
     samples; that keeps adjacent windows exactly additive under the
     trapezoidal integrator. Boundaries outside a source's sampled span
-    are clamped to the data. The window is found by bisecting the log's
-    index; only the slice itself is built.
+    are clamped to the data, and a source with no sample in the window is
+    left out. The window is found by bisecting each source's columns, and
+    the slice is built from column slices.
     """
     if end < start:
         raise UnknownPhase(f"window end {end} before start {start}")
-    index = log.index
-    sliced: list[PowerSample] = []
-    for source, series in index.series.items():
+    sliced: dict[str, SourceSeries] = {}
+    for source, series in log.series.items():
         lo, hi, w_start, w_end = series.window(start, end)
-        sliced.extend(map(PowerSample, repeat(source), series.timestamps[lo:hi], series.watts[lo:hi]))
-        for boundary, watts in ((start, w_start), (end, w_end)):
-            if watts is not None:
-                sliced.append(PowerSample(source, boundary, watts))
-    times = index.event_times
-    return replace(
-        log,
-        samples=tuple(sorted(sliced, key=_SAMPLE_ORDER)),
-        events=log.events[bisect_left(times, start) : bisect_right(times, end)],
-    )
+        ts, ws = series.timestamps[lo:hi], series.watts[lo:hi]
+        if w_start is not None:
+            ts.insert(0, start)
+            ws.insert(0, w_start)
+        if w_end is not None:
+            ts.append(end)
+            ws.append(w_end)
+        if ts:
+            sliced[source] = SourceSeries(ts, ws)
+    lo = bisect_left(log.events, start, key=_TIMESTAMP)
+    return replace(log, series=sliced, events=log.events[lo : bisect_right(log.events, end, lo, key=_TIMESTAMP)])
 
 
 def slice_phase(log: SampleLog, phase: str) -> SampleLog:

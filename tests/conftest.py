@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from carbonledger import carbon
 from carbonledger.forecast import PhaseSummary
 from carbonledger.ledger import ExperimentRecord
-from carbonledger.probe import PowerSample, ProbeDescriptor, ProbeKind, open_probe
-from carbonledger.sampler import SampleLog, parse_events
+from carbonledger.probe import ProbeDescriptor, ProbeKind, open_probe
+from carbonledger.sampler import SampleLog, SourceSeries, parse_events
 
 from goldens import GOLDEN_ROWS
 
@@ -38,15 +39,15 @@ def make_log(
     interval_ms: int = 1000,
     event_lines: list[str] | None = None,
 ) -> SampleLog:
-    """Build a SampleLog directly, without files or probes."""
-    samples = tuple(
-        sorted(
-            (PowerSample(src, t, w) for src, pairs in series.items() for t, w in pairs),
-            key=lambda s: (s.timestamp_ms, s.source_id),
-        )
-    )
+    """Build a SampleLog directly, without files or probes; each source's
+    pairs are put in timestamp order, and a source without pairs is left out."""
+    columns = {}
+    for src in sorted(series):
+        pairs = sorted(series[src], key=lambda p: p[0])
+        if pairs:
+            columns[src] = SourceSeries(array("q", [t for t, _ in pairs]), array("d", [w for _, w in pairs]))
     events, violations = parse_events(event_lines or [])
-    return SampleLog(samples, events, interval_ms, violations)
+    return SampleLog(columns, events, interval_ms, violations)
 
 
 @st.composite

@@ -3,6 +3,7 @@ from __future__ import annotations
 import datetime
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,62 @@ def test_config_file_parsing(tmp_path):
     config.write_text("just words\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_config_file(config)
+
+
+def rejected_before_spawn(tmp_path: Path, run_args: list[str]) -> bool:
+    """Run the tracker with ``run_args``; True if it exited 2 with no
+    ledger written and without starting its child."""
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = tmp_path / "ledger.jsonl"
+    touched = tmp_path / "child-ran"
+    args = ["run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--events", str(tmp_path / "e.log")]
+    child = [sys.executable, "-c", f"open({str(touched)!r}, 'w').close()"]
+    code = main([*args, *run_args, "--", *child])
+    return code == 2 and not ledger_path.exists() and not touched.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--interval-ms", "0"],
+        ["--interval-ms", "-5"],
+        ["--car-factor", "0"],
+        ["--car-factor", "-0.2"],
+        ["--car-factor", "inf"],
+        ["--pue", "nan"],
+        ["--pue", "inf"],
+    ],
+)
+def test_run_rejects_bad_numbers_before_spawning(tmp_path, capsys, flags):
+    assert rejected_before_spawn(tmp_path, flags)
+    assert flags[0][2:] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("label = x\njust words\n", "run.conf:2:"),
+        ("pue = high\n", "'pue'"),
+        ("interval_ms = 1.5\n", "'interval_ms'"),
+    ],
+)
+def test_run_malformed_config_exits_two(tmp_path, capsys, text, named):
+    config = tmp_path / "run.conf"
+    config.write_text(text, encoding="utf-8")
+    assert rejected_before_spawn(tmp_path, ["--config", str(config)])
+    assert named in capsys.readouterr().err
+
+
+def test_run_removes_its_temporary_event_file(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = tmp_path / "ledger.jsonl"
+    child = [sys.executable, "-c", "import os; open(os.environ['CARBONLEDGER_EVENTS'], 'a').write('TRAIN_START 0\\n')"]
+    assert main(["run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--", *child]) == 0
+    assert "no TRAIN_START observed" not in read_records(ledger_path)[0].quality_notes
+    assert list(scratch.iterdir()) == []
 
 
 def test_run_end_to_end_replay_fixture(tmp_path, triples_file, capsys):
@@ -327,6 +384,8 @@ def test_predict_bad_arguments_exit_two(capsys):
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "0"]) == 2
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "2", "--setup-kwh", "-5"]) == 2
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "1", "--region", "ZZ"]) == 2
+    assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "1", "--car-factor", "0"]) == 2
+    assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "1", "--car-factor", "nan"]) == 2
 
 
 def test_regions_default_lists_de(capsys):

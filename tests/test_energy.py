@@ -99,14 +99,9 @@ def test_integrate_linear_ramp_matches_triangle_area():
 
 
 def test_integrate_rejects_negative_watts():
-    # PowerSample refuses negative watts at construction, so smuggle one in
-    # to exercise the integrator's own guard.
-    from carbonledger.probe import PowerSample
-
-    sample = PowerSample("g", 0, 1.0)
-    object.__setattr__(sample, "watts", -1.0)
-    log = make_log({"g": [(1000, 1.0)]})
-    object.__setattr__(log, "samples", (sample,) + log.samples)
+    # PowerSample refuses negative watts at construction, but columns built
+    # directly do not; the integrator keeps its own guard.
+    log = make_log({"g": [(0, -1.0), (1000, 1.0)]})
     with pytest.raises(ValueError):
         integrate_energy(log, 1.0)
 
@@ -213,7 +208,7 @@ def test_trapezoid_exact_on_piecewise_linear_oracle():
 
 
 def reference_slice(log: SampleLog, start: int, end: int) -> dict[str, list[tuple[int, float]]]:
-    """Slice with plain loops over the samples, no index: per source, the
+    """Slice with plain loops over the rows, no bisect: per source, the
     samples inside the window plus an interpolated one at each boundary
     that falls between two samples."""
     sliced = {}
@@ -261,8 +256,10 @@ def test_window_energy_equals_integrating_the_slice(data):
     a, b = sorted((a, data.draw(st.one_of(st.just(a), point))))
     pue = data.draw(st.sampled_from([1.0, 1.55]))
     sliced = slice_window(log, a, b)
-    expected = sorted((t, src, w) for src, points in reference_slice(log, a, b).items() for t, w in points)
+    reference = reference_slice(log, a, b)
+    expected = sorted((t, src, w) for src, points in reference.items() for t, w in points)
     assert [(s.timestamp_ms, s.source_id, s.watts) for s in sliced.samples] == expected
+    assert sliced.sources() == tuple(src for src, points in reference.items() if points)
     result = window_energy(log, a, b, pue)
     assert result == integrate_energy(sliced, pue)
     assert result.raw_kwh == reference_window_kwh(log, a, b)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from carbonledger.energy import integrate_energy
 from carbonledger.errors import EventProtocolViolation, UnknownPhase
+from carbonledger.probe import PowerSample
 from carbonledger.sampler import (
     EventKind,
     _EventTail,
@@ -21,7 +22,7 @@ from carbonledger.sampler import (
     slice_window,
 )
 
-from conftest import constant_trace, make_log, replay_probe, write_events, write_trace
+from conftest import constant_trace, make_log, power_series, replay_probe, write_events, write_trace
 
 MINIMAL_RUN = [
     "TRAIN_START 0",
@@ -193,6 +194,59 @@ def test_on_tick_gets_one_snapshot_per_epoch_end(tmp_path):
     assert [len(s.events) for s in snapshots] == [6, 9]
     assert all(s.samples == log.samples for s in snapshots)
     assert log.epochs_completed() == 3 and log.events[-1].kind is EventKind.TRAIN_END
+
+
+def test_replay_snapshots_share_the_final_logs_series(tmp_path):
+    trace = constant_trace(tmp_path / "t.csv", 50.0, 40, 10)
+    events = write_events(tmp_path / "e.log", [])
+    chunks = ["TRAIN_START 0\nEPOCH_START 1 0\nEPOCH_END 1 10\n", "EPOCH_START 2 10\nEPOCH_END 2 20\nTRAIN_END 40\n"]
+
+    def append_next() -> bool:
+        if not chunks:
+            return True
+        with open(events, "a", encoding="utf-8", newline="\n") as fh:
+            fh.write(chunks.pop(0))
+        return False
+
+    snapshots = []
+    log = run_sampler([replay_probe(trace, 2)], 10, events, stop_condition=append_next, on_tick=snapshots.append)
+    assert len(snapshots) == 2 and log.sources() == ("replay0", "replay1")
+    for snapshot in snapshots:
+        assert snapshot.series.keys() == log.series.keys()
+        assert all(snapshot.series[source] is series for source, series in log.series.items())
+
+
+def test_run_sampler_orders_samples_from_several_probes(tmp_path):
+    first = write_trace(tmp_path / "a.csv", [(0, 10.0), (2000, 20.0), (3000, 30.0)])
+    second = write_trace(tmp_path / "b.csv", [(1000, 15.0), (2000, 25.0)])
+    events = write_events(tmp_path / "e.log", MINIMAL_RUN)
+    probes = [replay_probe(first), replay_probe(second), replay_probe(second, name="a")]
+    log = run_sampler(probes, 1000, events, stop_condition=lambda: True)
+    assert log.sources() == ("a0", "replay0")
+    # by timestamp; the equal stamps keep the order the probes were read in
+    expected = [(0, 10.0), (1000, 15.0), (2000, 20.0), (2000, 25.0), (3000, 30.0)]
+    assert [(s.timestamp_ms, s.watts) for s in log.samples_for("replay0")] == expected
+    assert [(s.timestamp_ms, s.source_id) for s in log.samples] == [
+        (0, "replay0"), (1000, "a0"), (1000, "replay0"), (2000, "a0"), (2000, "replay0"), (2000, "replay0"),
+        (3000, "replay0"),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_samples_view_equals_plain_rows(data):
+    series = data.draw(power_series(1000))
+    # repeat some stamps within a source, recorded after the original
+    for pairs in series.values():
+        pairs += [(t, w + 1.0) for t, w in data.draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    log = make_log(series)
+    rows = [PowerSample(source, t, w) for source, pairs in series.items() for t, w in pairs]
+    rows.sort(key=lambda s: (s.timestamp_ms, s.source_id))  # stable: recorded order among ties
+    assert log.samples == tuple(rows)
+    assert log.sources() == tuple(sorted({s.source_id for s in rows}))
+    for source in log.sources():
+        assert log.samples_for(source) == tuple(s for s in rows if s.source_id == source)
+    assert log.samples_for("absent") == ()
 
 
 EVENT_TOKENS = st.one_of(
