@@ -292,13 +292,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if args.kwh_per_epoch <= 0 or args.epochs < 1 or args.setup_kwh < 0 or not 0 < args.car_factor < math.inf:
-        print("kwh-per-epoch must be > 0, epochs >= 1, setup-kwh >= 0 and car-factor finite and > 0", file=sys.stderr)
+    positive = 0 < args.kwh_per_epoch < math.inf and 0 < args.car_factor < math.inf
+    if not (positive and args.epochs >= 1 and 0 <= args.setup_kwh < math.inf):
+        print("kwh-per-epoch must be > 0, epochs >= 1, setup-kwh >= 0 and car-factor > 0, all finite", file=sys.stderr)
         return 2
     if args.intensity is not None:
         grams = args.intensity
-        if grams <= 0:
-            print("intensity must be > 0", file=sys.stderr)
+        if not 0 < grams < math.inf:
+            print("intensity must be finite and > 0", file=sys.stderr)
             return 2
     else:
         registry = carbon.load_intensity_registry(_resolve(args.registry, {}, "registry"))

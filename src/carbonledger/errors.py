@@ -34,10 +34,6 @@ class TransientReadFailure(CarbonLedgerError):
     """One hardware read failed; the sample is skipped and counted."""
 
 
-class EventProtocolViolation(CarbonLedgerError):
-    """A line in the epoch-event stream does not match the wire grammar."""
-
-
 class UnknownPhase(CarbonLedgerError):
     """Requested phase has no boundaries in the event stream."""
 

@@ -13,15 +13,19 @@ Epoch-event wire format (line-delimited UTF-8, LF, single spaces):
     METRIC <k> <name> <decimal> <timestamp_ms>
     TRAIN_END <timestamp_ms>
 
-Lines outside this grammar are skipped and counted as violations, as are
-structurally invalid events (an EPOCH_END with no matching EPOCH_START,
-epoch indices that do not run 1, 2, 3, ..., anything after TRAIN_END).
+Indices and timestamps are ASCII decimal digits. Lines outside this
+grammar are skipped and counted as violations, as are structurally invalid
+events (an EPOCH_END with no matching EPOCH_START, epoch indices that do
+not run 1, 2, 3, ..., a METRIC for an epoch not yet started, anything
+after TRAIN_END). The boundary events (TRAIN_* and EPOCH_*) are kept as
+:class:`EpochEvent`; a METRIC line is folded into its epoch's metrics,
+where the last value per name wins.
 
 Replay probes are drained verbatim into the log, so with replay probes the
 log is a pure function of (traces, event file, interval) and reruns are
 identical. Hardware probes are polled once per ``interval_ms``, on a grid
-fixed at the first read, so a late read does not shift later ones. Events are
-kept in timestamp order as they are admitted.
+fixed at the first read, so a late read does not shift later ones. Boundary
+events are kept in timestamp order as they are admitted.
 
 A log stores each source's samples as columns (:class:`SourceSeries`);
 rows (:attr:`SampleLog.samples`) are a view built on request. The sampler
@@ -50,7 +54,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .energy import segment_kwh
-from .errors import EventProtocolViolation, UnknownPhase
+from .errors import UnknownPhase
 from .probe import Probe, PowerSample, ProbeKind
 
 EVENTS_ENV = "CARBONLEDGER_EVENTS"
@@ -60,6 +64,9 @@ EVENTS_ENV = "CARBONLEDGER_EVENTS"
 _MAX_POLL_S = 0.1
 
 _TIMESTAMP = attrgetter("timestamp_ms")
+
+# Fields of each line kind, the kind itself included.
+_FIELDS = {"TRAIN_START": 2, "TRAIN_END": 2, "EPOCH_START": 3, "EPOCH_END": 3, "METRIC": 5}
 
 
 class EventKind(Enum):
@@ -72,7 +79,7 @@ class EventKind(Enum):
 
 @dataclass(frozen=True)
 class EpochEvent:
-    """One parsed line of the epoch-event stream.
+    """One admitted boundary event (TRAIN_* or EPOCH_*).
 
     ``epoch_index`` is 0 for TRAIN_START / TRAIN_END.
     """
@@ -80,8 +87,6 @@ class EpochEvent:
     kind: EventKind
     epoch_index: int
     timestamp_ms: int
-    metric_name: str | None = None
-    metric_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -139,10 +144,14 @@ class SampleLog:
     """Everything one monitored run produced, ordered and immutable.
 
     ``series`` maps each source id, in sorted order, to its samples; a
-    source with no sample has no entry. ``events`` are ordered by
-    timestamp (stable, so file order breaks ties). ``violations`` counts
-    skipped malformed or out-of-protocol event lines; ``warnings`` carries
-    run level flags such as a missing TRAIN_START.
+    source with no sample has no entry. ``events`` holds the boundary
+    events only, ordered by timestamp (stable, so file order breaks ties).
+    ``metrics`` maps each epoch to the last value of each metric name
+    reported for it, and ``metric_lines`` counts the METRIC lines folded
+    into it; metrics belong to epochs, not to instants, so a slice keeps
+    them whole. ``violations`` counts skipped malformed or out-of-protocol
+    event lines; ``warnings`` carries run level flags such as a missing
+    TRAIN_START.
     """
 
     series: dict[str, SourceSeries]
@@ -150,6 +159,8 @@ class SampleLog:
     sampling_interval_ms: int
     violations: int = 0
     warnings: tuple[str, ...] = ()
+    metrics: dict[int, dict[str, float]] = field(default_factory=dict)
+    metric_lines: int = 0
 
     @property
     def samples(self) -> tuple[PowerSample, ...]:
@@ -160,10 +171,10 @@ class SampleLog:
 
     @cached_property
     def boundaries(self) -> dict[tuple[EventKind, int], EpochEvent]:
-        """``(kind, epoch)`` of every non-METRIC event mapped to its first
-        occurrence (epoch 0 for TRAIN_START / TRAIN_END)."""
+        """``(kind, epoch)`` of every event mapped to its first occurrence
+        (epoch 0 for TRAIN_START / TRAIN_END)."""
         # reversed, so the first occurrence is the one that stays
-        return {(e.kind, e.epoch_index): e for e in reversed(self.events) if e.kind is not EventKind.METRIC}
+        return {(e.kind, e.epoch_index): e for e in reversed(self.events)}
 
     def sources(self) -> tuple[str, ...]:
         return tuple(self.series)
@@ -181,52 +192,15 @@ class SampleLog:
         return len(self.events_of(EventKind.EPOCH_END))
 
 
-def parse_event_line(line: str) -> EpochEvent:
-    """Parse a single event line; raise EventProtocolViolation otherwise."""
-    parts = line.split(" ")
-    if not parts or parts[0] not in EventKind.__members__:
-        raise EventProtocolViolation(f"unknown event kind in {line!r}")
-    kind = EventKind[parts[0]]
-
-    def _int(text: str, what: str) -> int:
-        if not text.isdigit():
-            raise EventProtocolViolation(f"bad {what} {text!r} in {line!r}")
-        return int(text)
-
-    if kind in (EventKind.TRAIN_START, EventKind.TRAIN_END):
-        if len(parts) != 2:
-            raise EventProtocolViolation(f"expected 2 fields in {line!r}")
-        return EpochEvent(kind, 0, _int(parts[1], "timestamp"))
-    if kind in (EventKind.EPOCH_START, EventKind.EPOCH_END):
-        if len(parts) != 3:
-            raise EventProtocolViolation(f"expected 3 fields in {line!r}")
-        epoch = _int(parts[1], "epoch index")
-        if epoch < 1:
-            raise EventProtocolViolation(f"epoch index must be >= 1 in {line!r}")
-        return EpochEvent(kind, epoch, _int(parts[2], "timestamp"))
-    # METRIC <k> <name> <decimal> <timestamp_ms>
-    if len(parts) != 5:
-        raise EventProtocolViolation(f"expected 5 fields in {line!r}")
-    epoch = _int(parts[1], "epoch index")
-    name = parts[2]
-    if not name:
-        raise EventProtocolViolation(f"empty metric name in {line!r}")
-    try:
-        value = float(parts[3])
-    except ValueError as exc:
-        raise EventProtocolViolation(f"bad metric value in {line!r}") from exc
-    if not math.isfinite(value):
-        raise EventProtocolViolation(f"non-finite metric value in {line!r}")
-    return EpochEvent(kind, epoch, _int(parts[4], "timestamp"), name, value)
-
-
 class _EventStream:
-    """The one parse -> protocol check -> count loop over event lines.
+    """The one parse -> protocol check -> admit loop over event lines.
 
-    ``events`` keeps the admitted events in timestamp order, stream order
-    among equal stamps (what a stable sort would give); ``violations``
-    counts lines that failed the grammar, the protocol or, in the tail,
-    UTF-8 decoding.
+    ``events`` keeps the admitted boundary events in timestamp order,
+    stream order among equal stamps (what a stable sort would give);
+    ``metrics`` and ``metric_lines`` fold the admitted METRIC lines as on
+    :class:`SampleLog`; ``earliest_ms`` is the earliest stamp admitted of
+    any kind (inf before the first); ``violations`` counts lines that
+    failed the grammar, the protocol or, in the tail, UTF-8 decoding.
     """
 
     def __init__(self) -> None:
@@ -235,6 +209,9 @@ class _EventStream:
         self.last_started = 0
         self.open_epoch: int | None = None
         self.events: list[EpochEvent] = []
+        self.metrics: dict[int, dict[str, float]] = {}
+        self.metric_lines = 0
+        self.earliest_ms: float = math.inf
         self.violations = 0
 
     @property
@@ -242,48 +219,64 @@ class _EventStream:
         return self.last_started - (self.open_epoch is not None)
 
     def feed(self, lines: Iterable[str]) -> None:
+        """Admit each line that passes the grammar and the protocol; any
+        other line counts one violation and changes nothing else."""
+        events, metrics, fields, isfinite = self.events, self.metrics, _FIELDS.get, math.isfinite
+        started, ended, last, open_epoch = self.train_started, self.train_ended, self.last_started, self.open_epoch
+        earliest, folded = self.earliest_ms, self.metric_lines
         for line in lines:
-            try:
-                event = parse_event_line(line)
-                self._admit(event)
-            except EventProtocolViolation:
+            parts = line.split(" ")
+            kind, stamp = parts[0], parts[-1]
+            # isdigit alone also takes digits such as "\u00b2" that int() refuses
+            if ended or fields(kind) != len(parts) or not (stamp.isascii() and stamp.isdigit()):
                 self.violations += 1
                 continue
-            if self.events and event.timestamp_ms < self.events[-1].timestamp_ms:
-                insort_right(self.events, event, key=_TIMESTAMP)
+            ts, index = int(stamp), parts[1]  # on a TRAIN_* line, index is the stamp
+            k = int(index) if index.isascii() and index.isdigit() else -1
+            # each kind decides whether the line is admitted and applies it only
+            # if so (a rejected TRAIN_START sets started, which was set already)
+            if kind == "METRIC":
+                try:
+                    value = float(parts[3])
+                except ValueError:
+                    value = math.nan
+                admitted = 0 < k <= last and parts[2] != "" and isfinite(value)
+                if admitted:
+                    try:
+                        metrics[k][parts[2]] = value
+                    except KeyError:
+                        metrics[k] = {parts[2]: value}
+                    folded += 1
+            elif kind == "EPOCH_START":
+                admitted = open_epoch is None and k == last + 1
+                if admitted:
+                    open_epoch = last = k
+            elif kind == "EPOCH_END":
+                admitted = k == open_epoch
+                if admitted:
+                    open_epoch = None
+            elif kind == "TRAIN_START":
+                admitted, started, k = not started, True, 0
             else:
-                self.events.append(event)
-
-    def _admit(self, event: EpochEvent) -> None:
-        """Raise EventProtocolViolation if the event is illegal here."""
-        if self.train_ended:
-            raise EventProtocolViolation(f"event after TRAIN_END: {event.kind.value}")
-        if event.kind is EventKind.TRAIN_START:
-            if self.train_started:
-                raise EventProtocolViolation("duplicate TRAIN_START")
-            self.train_started = True
-        elif event.kind is EventKind.EPOCH_START:
-            if self.open_epoch is not None:
-                raise EventProtocolViolation(f"EPOCH_START {event.epoch_index} while {self.open_epoch} open")
-            if event.epoch_index != self.last_started + 1:
-                raise EventProtocolViolation(
-                    f"epoch index {event.epoch_index} does not follow {self.last_started}"
-                )
-            self.open_epoch = event.epoch_index
-            self.last_started = event.epoch_index
-        elif event.kind is EventKind.EPOCH_END:
-            if self.open_epoch != event.epoch_index:
-                raise EventProtocolViolation(f"EPOCH_END {event.epoch_index} without matching start")
-            self.open_epoch = None
-        elif event.kind is EventKind.METRIC:
-            if event.epoch_index < 1 or event.epoch_index > self.last_started:
-                raise EventProtocolViolation(f"METRIC for unknown epoch {event.epoch_index}")
-        elif event.kind is EventKind.TRAIN_END:
-            self.train_ended = True
+                admitted, ended, k = True, True, 0
+            if not admitted:
+                self.violations += 1
+                continue
+            if kind != "METRIC":
+                event = EpochEvent(EventKind(kind), k, ts)
+                if events and ts < events[-1].timestamp_ms:
+                    insort_right(events, event, key=_TIMESTAMP)
+                else:
+                    events.append(event)
+            if ts < earliest:
+                earliest = ts
+        self.train_started, self.train_ended, self.last_started, self.open_epoch = started, ended, last, open_epoch
+        self.earliest_ms, self.metric_lines = earliest, folded
 
 
 def parse_events(lines: Iterable[str]) -> tuple[tuple[EpochEvent, ...], int]:
-    """Parse an event stream; skipped bad lines are counted, not fatal."""
+    """Parse an event stream into its boundary events, in timestamp order,
+    and the count of skipped bad lines; a bad line is never fatal."""
     stream = _EventStream()
     stream.feed(lines)
     return tuple(stream.events), stream.violations
@@ -381,15 +374,20 @@ def run_sampler(
         if not tail.train_started:
             warnings.append("no TRAIN_START observed")
         else:
-            # Clock-skew check: events must not precede the first sample point
-            # of the run (wall start for hardware, trace start for replay).
+            # Clock-skew check: no admitted event, METRIC lines included, may
+            # precede the first sample point of the run (wall start for
+            # hardware, trace start for replay).
             start = started_wall_ms if hardware else min((s.timestamps[0] for s in frozen.values()), default=None)
-            if start is not None and tail.events[0].timestamp_ms < start:
+            if start is not None and tail.earliest_ms < start:
                 warnings.append("event timestamps precede sampler start (clock skew)")
         if skipped_reads:
             warnings.append(f"{skipped_reads} hardware reads skipped")
         series = {source: frozen[source] for source in sorted(frozen)}
-        return SampleLog(series, tuple(tail.events), interval_ms, tail.violations, tuple(warnings))
+        # the tail keeps folding into its dicts, so a snapshot takes copies
+        metrics = {k: dict(names) for k, names in tail.metrics.items()}
+        return SampleLog(
+            series, tuple(tail.events), interval_ms, tail.violations, tuple(warnings), metrics, tail.metric_lines
+        )
 
     interval_s = interval_ms / 1000.0
     first_hw_read = next_hw_read = time.monotonic()

@@ -11,7 +11,7 @@ from carbonledger import carbon
 from carbonledger.forecast import PhaseSummary
 from carbonledger.ledger import ExperimentRecord
 from carbonledger.probe import ProbeDescriptor, ProbeKind, open_probe
-from carbonledger.sampler import SampleLog, SourceSeries, parse_events
+from carbonledger.sampler import SampleLog, SourceSeries, _EventStream
 
 from goldens import GOLDEN_ROWS
 
@@ -30,6 +30,13 @@ def write_events(path: Path, lines: list[str]) -> Path:
     return path
 
 
+def event_stream(lines: list[str]) -> _EventStream:
+    """The event-stream core after admitting ``lines``."""
+    stream = _EventStream()
+    stream.feed(lines)
+    return stream
+
+
 def replay_probe(trace: Path, device_count: int = 1, name: str = "replay"):
     return open_probe(ProbeDescriptor(name, ProbeKind.REPLAY, device_count, str(trace)))
 
@@ -46,8 +53,11 @@ def make_log(
         pairs = sorted(series[src], key=lambda p: p[0])
         if pairs:
             columns[src] = SourceSeries(array("q", [t for t, _ in pairs]), array("d", [w for _, w in pairs]))
-    events, violations = parse_events(event_lines or [])
-    return SampleLog(columns, events, interval_ms, violations)
+    stream = event_stream(event_lines or [])
+    return SampleLog(
+        columns, tuple(stream.events), interval_ms, stream.violations,
+        metrics=stream.metrics, metric_lines=stream.metric_lines,
+    )
 
 
 @st.composite

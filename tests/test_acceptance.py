@@ -333,12 +333,14 @@ def test_criterion_9_serialization_round_trips(tmp_path):
 
     # the event grammar accepts exactly the protocol and counts rejects
     valid = ["TRAIN_START 0", "EPOCH_START 1 10", "METRIC 1 val_loss 0.5 15", "EPOCH_END 1 20", "TRAIN_END 30"]
-    events, violations = parse_events(valid)
-    assert len(events) == 5 and violations == 0
+    log = make_log({}, event_lines=valid)
+    assert (len(log.events), log.metric_lines, log.violations) == (4, 1, 0)
+    assert log.metrics == {1: {"val_loss": 0.5}}
 
     assert len(MALFORMED_EVENT_LINES) == 20
     interleaved = valid[:2] + MALFORMED_EVENT_LINES + valid[2:]
     events, violations = parse_events(interleaved)
     assert violations == 20
-    assert len(events) == 5
+    assert events == log.events
+    assert make_log({}, event_lines=interleaved).metrics == log.metrics
     announce(9, "ledger and report JSON round-trip stable; 20 crafted bad event lines rejected")

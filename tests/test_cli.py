@@ -223,6 +223,22 @@ def test_run_child_failure_flags_aborted_and_propagates(tmp_path, triples_file):
     assert record.epochs_completed == 0
 
 
+def test_run_counts_non_ascii_digits_as_violations(tmp_path):
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    # "\u00b2" passes str.isdigit but not int(); the line is a violation, not a crash
+    write = "TRAIN_START 0\\nEPOCH_START 1 5\\u00b2\\nEPOCH_START 1 5\\nEPOCH_END 1 9000\\nTRAIN_END 10000\\n"
+    child = (
+        "import os, sys; "
+        f"open(os.environ['CARBONLEDGER_EVENTS'], 'a', encoding='utf-8').write('{write}'); sys.exit(3)"
+    )
+    ledger_path = tmp_path / "ledger.jsonl"
+    code = main(["run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--", sys.executable, "-c", child])
+    assert code == 3
+    (record,) = read_records(ledger_path)
+    assert "1 event protocol violation(s)" in record.quality_notes
+    assert record.epochs_completed == 1
+
+
 def test_run_without_probe_is_usage_error(tmp_path, capsys):
     code = main(["run", "--ledger", str(tmp_path / "l.jsonl"), "--", "true"])
     assert code == 2
@@ -386,6 +402,11 @@ def test_predict_bad_arguments_exit_two(capsys):
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "1", "--region", "ZZ"]) == 2
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "1", "--car-factor", "0"]) == 2
     assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "1", "--car-factor", "nan"]) == 2
+    assert main(["predict", "--kwh-per-epoch", "nan", "--epochs", "5"]) == 2
+    assert main(["predict", "--kwh-per-epoch", "inf", "--epochs", "5"]) == 2
+    assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "5", "--setup-kwh", "nan"]) == 2
+    assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "5", "--intensity", "inf"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_regions_default_lists_de(capsys):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonledger.energy import integrate_energy
-from carbonledger.errors import EventProtocolViolation, UnknownPhase
+from carbonledger.errors import UnknownPhase
 from carbonledger.probe import PowerSample
 from carbonledger.sampler import (
+    EpochEvent,
     EventKind,
     _EventTail,
-    parse_event_line,
     parse_events,
     phase_window,
     run_sampler,
@@ -22,7 +22,7 @@ from carbonledger.sampler import (
     slice_window,
 )
 
-from conftest import constant_trace, make_log, power_series, replay_probe, write_events, write_trace
+from conftest import constant_trace, event_stream, make_log, power_series, replay_probe, write_events, write_trace
 
 MINIMAL_RUN = [
     "TRAIN_START 0",
@@ -45,12 +45,31 @@ def test_parse_minimal_protocol_run():
 
 
 def test_metric_line_carries_name_and_value():
-    event = parse_event_line("METRIC 2 val_loss 0.125 9000")
-    assert event.kind is EventKind.METRIC
-    assert event.epoch_index == 2
-    assert event.metric_name == "val_loss"
-    assert event.metric_value == 0.125
-    assert event.timestamp_ms == 9000
+    lines = ["EPOCH_START 1 9500", "EPOCH_END 1 9600", "EPOCH_START 2 9700", "METRIC 2 val_loss 0.125 9000"]
+    stream = event_stream(lines)
+    assert stream.violations == 0
+    assert stream.metrics == {2: {"val_loss": 0.125}}
+    assert stream.metric_lines == 1
+    assert stream.earliest_ms == 9000
+    assert [e.kind for e in stream.events] == [EventKind.EPOCH_START, EventKind.EPOCH_END, EventKind.EPOCH_START]
+
+
+def test_metric_folds_last_value_per_epoch_and_name():
+    lines = [
+        "EPOCH_START 1 0",
+        "METRIC 1 loss 2.0 1",
+        "METRIC 1 acc 0.5 2",
+        "METRIC 1 loss 1.5 3",
+        "EPOCH_END 1 4",
+        "EPOCH_START 2 4",
+        "METRIC 2 loss 1.25 5",
+        "METRIC 1 loss 1.75 6",  # a started epoch may still report, also once ended
+        "METRIC 3 loss 9.0 7",  # epoch 3 has not started
+    ]
+    stream = event_stream(lines)
+    assert stream.violations == 1
+    assert stream.metrics == {1: {"loss": 1.75, "acc": 0.5}, 2: {"loss": 1.25}}
+    assert stream.metric_lines == 5
 
 
 def test_malformed_line_skipped_and_counted():
@@ -79,11 +98,31 @@ def test_malformed_line_skipped_and_counted():
         "METRIC 1  val_loss 0.5 10",
         "metric 1 val_loss 0.5 10",
         "EPOCH_START 1 10 extra",
+        "EPOCH_START 1 5\u00b2",
+        "EPOCH_START \u0661 5",
+        "TRAIN_START +5",
+        "METRIC 1 val_loss 0.5 1_0",
     ],
 )
 def test_grammar_rejections(line):
-    with pytest.raises(EventProtocolViolation):
-        parse_event_line(line)
+    # a well-formed line of each kind is admitted after one of these prefixes,
+    # so a line rejected after both fails the grammar
+    for prefix in ([], ["EPOCH_START 1 0"]):
+        before, after = event_stream(prefix), event_stream([*prefix, line])
+        assert after.violations == before.violations + 1
+        assert (after.events, after.metrics, after.earliest_ms) == (before.events, before.metrics, before.earliest_ms)
+
+
+def test_non_ascii_digits_are_violations():
+    # str.isdigit takes "\u00b2" (int() refuses it) and "\u0661" (int() reads 1)
+    lines = ["TRAIN_START 0", "EPOCH_START 1 5\u00b2", "EPOCH_START \u0661 5", "EPOCH_START 1 6", "TRAIN_END 9"]
+    events, violations = parse_events(lines)
+    assert violations == 2
+    assert [(e.kind, e.epoch_index, e.timestamp_ms) for e in events] == [
+        (EventKind.TRAIN_START, 0, 0),
+        (EventKind.EPOCH_START, 1, 6),
+        (EventKind.TRAIN_END, 0, 9),
+    ]
 
 
 def test_structural_violations_counted():
@@ -144,18 +183,22 @@ def test_events_kept_in_timestamp_order_file_order_among_ties():
         "METRIC 1 a 1 60",
         "METRIC 1 b 2 10",
         "EPOCH_END 1 60",
+        "EPOCH_START 2 10",
+        "EPOCH_END 2 60",
         "TRAIN_END 5",
     ]
-    events, violations = parse_events(lines)
-    assert violations == 0
-    assert [(e.kind.value, e.metric_name, e.timestamp_ms) for e in events] == [
-        ("TRAIN_END", None, 5),
-        ("EPOCH_START", None, 10),
-        ("METRIC", "b", 10),
-        ("TRAIN_START", None, 50),
-        ("METRIC", "a", 60),
-        ("EPOCH_END", None, 60),
+    stream = event_stream(lines)
+    assert stream.violations == 0
+    assert [(e.kind.value, e.epoch_index, e.timestamp_ms) for e in stream.events] == [
+        ("TRAIN_END", 0, 5),
+        ("EPOCH_START", 1, 10),
+        ("EPOCH_START", 2, 10),
+        ("TRAIN_START", 0, 50),
+        ("EPOCH_END", 1, 60),
+        ("EPOCH_END", 2, 60),
     ]
+    assert stream.metrics == {1: {"a": 1.0, "b": 2.0}}
+    assert stream.earliest_ms == 5
 
 
 def test_run_sampler_parses_unterminated_last_line(tmp_path):
@@ -191,7 +234,9 @@ def test_on_tick_gets_one_snapshot_per_epoch_end(tmp_path):
     snapshots = []
     log = run_sampler([replay_probe(trace)], 10, events, stop_condition=append_next, on_tick=snapshots.append)
     assert [s.epochs_completed() for s in snapshots] == [1, 3]
-    assert [len(s.events) for s in snapshots] == [6, 9]
+    assert [len(s.events) for s in snapshots] == [4, 7]
+    assert [s.metric_lines for s in snapshots] == [2, 2]
+    assert all(s.metrics == {1: {"loss": 0.5}, 2: {"loss": 0.4}} for s in [*snapshots, log])
     assert all(s.samples == log.samples for s in snapshots)
     assert log.epochs_completed() == 3 and log.events[-1].kind is EventKind.TRAIN_END
 
@@ -280,6 +325,153 @@ def test_tail_over_any_chunking_matches_parse_events(data):
     assert (tuple(tail.events), tail.violations) == parse_events(expected_lines)
 
 
+class EventProtocolViolation(Exception):
+    """A line the reference parser rejects."""
+
+
+def _reference_line(line: str) -> tuple[EventKind, int, int, str | None, float | None]:
+    """One line's (kind, epoch, timestamp, metric name, metric value)."""
+    parts = line.split(" ")
+    if not parts or parts[0] not in EventKind.__members__:
+        raise EventProtocolViolation(f"unknown event kind in {line!r}")
+    kind = EventKind[parts[0]]
+
+    def _int(text: str, what: str) -> int:
+        if not (text.isascii() and text.isdigit()):
+            raise EventProtocolViolation(f"bad {what} {text!r} in {line!r}")
+        return int(text)
+
+    if kind in (EventKind.TRAIN_START, EventKind.TRAIN_END):
+        if len(parts) != 2:
+            raise EventProtocolViolation(f"expected 2 fields in {line!r}")
+        return kind, 0, _int(parts[1], "timestamp"), None, None
+    if kind in (EventKind.EPOCH_START, EventKind.EPOCH_END):
+        if len(parts) != 3:
+            raise EventProtocolViolation(f"expected 3 fields in {line!r}")
+        epoch = _int(parts[1], "epoch index")
+        if epoch < 1:
+            raise EventProtocolViolation(f"epoch index must be >= 1 in {line!r}")
+        return kind, epoch, _int(parts[2], "timestamp"), None, None
+    if len(parts) != 5:
+        raise EventProtocolViolation(f"expected 5 fields in {line!r}")
+    epoch = _int(parts[1], "epoch index")
+    name = parts[2]
+    if not name:
+        raise EventProtocolViolation(f"empty metric name in {line!r}")
+    try:
+        value = float(parts[3])
+    except ValueError as exc:
+        raise EventProtocolViolation(f"bad metric value in {line!r}") from exc
+    if not math.isfinite(value):
+        raise EventProtocolViolation(f"non-finite metric value in {line!r}")
+    return kind, epoch, _int(parts[4], "timestamp"), name, value
+
+
+def reference_parse(lines: list[str]):
+    """A line-at-a-time parser and protocol check, written for clarity, that
+    the event-stream core must agree with. Returns the boundary events in
+    stable timestamp order, the violation count, the metrics (last value per
+    epoch and name), the count of admitted METRIC lines and the earliest
+    admitted stamp of any kind (inf if none)."""
+    started = ended = False
+    last_started, open_epoch = 0, None
+    admitted, violations = [], 0
+    for line in lines:
+        try:
+            kind, epoch, stamp, name, value = _reference_line(line)
+            if ended:
+                raise EventProtocolViolation(f"event after TRAIN_END: {kind.value}")
+            if kind is EventKind.TRAIN_START:
+                if started:
+                    raise EventProtocolViolation("duplicate TRAIN_START")
+                started = True
+            elif kind is EventKind.EPOCH_START:
+                if open_epoch is not None:
+                    raise EventProtocolViolation(f"EPOCH_START {epoch} while {open_epoch} open")
+                if epoch != last_started + 1:
+                    raise EventProtocolViolation(f"epoch index {epoch} does not follow {last_started}")
+                open_epoch = last_started = epoch
+            elif kind is EventKind.EPOCH_END:
+                if open_epoch != epoch:
+                    raise EventProtocolViolation(f"EPOCH_END {epoch} without matching start")
+                open_epoch = None
+            elif kind is EventKind.METRIC:
+                if epoch < 1 or epoch > last_started:
+                    raise EventProtocolViolation(f"METRIC for unknown epoch {epoch}")
+            else:
+                ended = True
+        except EventProtocolViolation:
+            violations += 1
+            continue
+        admitted.append((kind, epoch, stamp, name, value))
+    metrics: dict[int, dict[str, float]] = {}
+    for kind, epoch, _, name, value in admitted:
+        if kind is EventKind.METRIC:
+            metrics.setdefault(epoch, {})[name] = value
+    boundaries = sorted(
+        (EpochEvent(kind, epoch, stamp) for kind, epoch, stamp, _, _ in admitted if kind is not EventKind.METRIC),
+        key=lambda e: e.timestamp_ms,
+    )
+    metric_lines = sum(kind is EventKind.METRIC for kind, *_ in admitted)
+    earliest = min((stamp for _, _, stamp, _, _ in admitted), default=math.inf)
+    return tuple(boundaries), violations, metrics, metric_lines, earliest
+
+
+FIELD_TOKENS = st.sampled_from(
+    ["0", "1", "2", "7", "\u00b2", "\u0661", "+5", "-1", "nan", "inf", "1_0", "1e3", "0.5", "", "loss", "acc"]
+)
+KIND_TOKENS = st.sampled_from(["TRAIN_START", "EPOCH_START", "EPOCH_END", "METRIC", "TRAIN_END", "metric", ""])
+EPOCHS = st.one_of(st.integers(1, 3).map(str), st.sampled_from(["0", "\u0661", "\u00b2"]))
+STAMPS = st.one_of(st.integers(0, 20).map(str), st.sampled_from(["5\u00b2", "\u0661", "1_0", "+5"]))
+VALUES = st.one_of(st.floats(-10, 10).map(repr), FIELD_TOKENS)
+
+
+@st.composite
+def token_line(draw) -> str:
+    separator = draw(st.sampled_from([" ", " ", "  "]))
+    return separator.join([draw(KIND_TOKENS), *draw(st.lists(FIELD_TOKENS, max_size=5))])
+
+
+EVENT_LINES = st.one_of(
+    token_line(),
+    # lines of the right shape, so the protocol checks see a run, too
+    st.builds("TRAIN_START {}".format, STAMPS),
+    st.builds("EPOCH_START {} {}".format, EPOCHS, STAMPS),
+    st.builds("EPOCH_END {} {}".format, EPOCHS, STAMPS),
+    st.builds("METRIC {} {} {} {}".format, EPOCHS, st.sampled_from(["loss", "acc", ""]), VALUES, STAMPS),
+    st.builds("TRAIN_END {}".format, STAMPS),
+)
+
+
+@st.composite
+def noisy_run(draw) -> list[str]:
+    """A well-formed run of up to 4 epochs with METRIC lines (some for the
+    wrong epoch), unordered stamps, and random lines put in or swapped in."""
+    stamp = st.integers(0, 20).map(str)
+    lines = [f"TRAIN_START {draw(stamp)}"]
+    for k in range(1, draw(st.integers(0, 4)) + 1):
+        lines.append(f"EPOCH_START {k} {draw(stamp)}")
+        for _ in range(draw(st.integers(0, 3))):
+            epoch = k + draw(st.sampled_from([0, 0, 0, -1, 1]))
+            name, value = draw(st.sampled_from(["loss", "acc"])), draw(VALUES)
+            lines.append(f"METRIC {epoch} {name} {value} {draw(stamp)}")
+        lines.append(f"EPOCH_END {k} {draw(stamp)}")
+    lines.append(f"TRAIN_END {draw(stamp)}")
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i:i + draw(st.integers(0, 1))] = [draw(EVENT_LINES)]
+    return lines
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(noisy_run(), st.lists(EVENT_LINES, max_size=40)))
+def test_event_core_matches_the_reference_parser(lines):
+    stream = event_stream(lines)
+    got = (tuple(stream.events), stream.violations, stream.metrics, stream.metric_lines, stream.earliest_ms)
+    assert got == reference_parse(lines)
+    assert parse_events(lines) == got[:2]
+
+
 def test_tail_poll_inside_a_multibyte_character(tmp_path):
     path = tmp_path / "events"
     path.write_bytes(b"TRAIN_START 0\nEPOCH_START 1 5\nMETRIC 1 l\xc3")
@@ -289,7 +481,7 @@ def test_tail_poll_inside_a_multibyte_character(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b"\xa9 0.5 7\nMETRIC 1 \xff 0.5 8\nTRAIN_END 9\n")
     tail.poll()
-    assert tail.events[2].metric_name == "l\u00e9"
+    assert tail.metrics == {1: {"l\u00e9": 0.5}}
     assert tail.events[-1].kind is EventKind.TRAIN_END
     assert tail.violations == 1  # the complete line that is not UTF-8
 
@@ -318,6 +510,37 @@ def test_run_sampler_notes_clock_skew(tmp_path):
     events = write_events(tmp_path / "e.log", ["TRAIN_START 0", "TRAIN_END 6000"])
     log = run_sampler([replay_probe(trace)], 1000, events, stop_condition=lambda: True)
     assert any("skew" in w for w in log.warnings)
+
+
+def test_run_sampler_notes_clock_skew_of_a_metric_line(tmp_path):
+    # every boundary event follows the trace start; one METRIC precedes it
+    trace = write_trace(tmp_path / "t.csv", [(5000, 50.0), (6000, 50.0)])
+    lines = ["TRAIN_START 5000", "EPOCH_START 1 5000", "METRIC 1 loss 0.5 100", "EPOCH_END 1 6000", "TRAIN_END 6000"]
+    events = write_events(tmp_path / "e.log", lines)
+    log = run_sampler([replay_probe(trace)], 1000, events, stop_condition=lambda: True)
+    assert log.violations == 0
+    assert any("skew" in w for w in log.warnings)
+
+
+def test_snapshot_metrics_do_not_change_after_the_snapshot(tmp_path):
+    trace = constant_trace(tmp_path / "t.csv", 50.0, 40, 10)
+    events = write_events(tmp_path / "e.log", [])
+    chunks = [
+        "TRAIN_START 0\nEPOCH_START 1 0\nMETRIC 1 loss 0.5 5\nEPOCH_END 1 10\n",
+        "METRIC 1 loss 0.25 20\nTRAIN_END 40\n",
+    ]
+
+    def append_next() -> bool:
+        if not chunks:
+            return True
+        with open(events, "a", encoding="utf-8", newline="\n") as fh:
+            fh.write(chunks.pop(0))
+        return False
+
+    snapshots = []
+    log = run_sampler([replay_probe(trace)], 10, events, stop_condition=append_next, on_tick=snapshots.append)
+    assert [s.metrics for s in snapshots] == [{1: {"loss": 0.5}}]
+    assert (log.metrics, log.metric_lines) == ({1: {"loss": 0.25}}, 2)
 
 
 def test_run_sampler_polls_hardware_probes_on_cadence(tmp_path):

@@ -13,6 +13,8 @@ from carbonledger.workload import (
     run_workload,
 )
 
+from conftest import event_stream
+
 
 def brute_force_stop(losses: list[float], patience: int) -> int | None:
     """Independent oracle: stop at the first epoch k whose trailing
@@ -80,9 +82,9 @@ def test_workload_emits_protocol(tmp_path, triples_file):
     assert kinds[-1] is EventKind.TRAIN_END
     assert kinds.count(EventKind.EPOCH_START) == 3
     assert kinds.count(EventKind.EPOCH_END) == 3
-    metrics = [e for e in events if e.kind is EventKind.METRIC]
-    assert [m.metric_value for m in metrics] == [1.0, 0.9, 0.8]
-    assert all(m.metric_name == "val_loss" for m in metrics)
+    stream = event_stream(events_path.read_text().splitlines())
+    assert stream.metrics == {1: {"val_loss": 1.0}, 2: {"val_loss": 0.9}, 3: {"val_loss": 0.8}}
+    assert stream.metric_lines == 3
 
 
 def test_workload_virtual_timeline(tmp_path, triples_file):
