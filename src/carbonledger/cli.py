@@ -264,7 +264,7 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
         quality_notes=tuple(notes),
     )
     ledger.append_record(ledger_path, record)
-    print(ledger.render_report([record], "text"), end="")
+    _write_stdout(ledger.render_report([record], "text").encode("utf-8"))
     if early is not None:
         print(
             f"forecast after epoch 1 was {early.predicted_kwh:.3f} kWh for "
@@ -274,21 +274,29 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
     return exit_code
 
 
+def _write_stdout(data: bytes) -> None:
+    """Write UTF-8 ``data`` to standard output whatever its encoding, so a
+    label the locale cannot encode neither fails nor changes the bytes."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
+    """Render every readable record; each bad line is named on stderr and exits 2."""
     ledger_path = _resolve(args.ledger, {}, "ledger")
     try:
-        records = ledger.read_records(ledger_path)
+        stored, errors = ledger.read_ledger(ledger_path, args.filter)
     except OSError as exc:
         print(f"cannot read ledger: {exc}", file=sys.stderr)
         return 2
-    if args.filter:
-        records = [r for r in records if args.filter in r.label or args.filter == r.experiment_id]
-    document = ledger.render_report(records, args.format)
+    for error in errors:
+        print(error, file=sys.stderr)
+    document = ledger.render_stored(stored, args.format).encode("utf-8")
     if args.out:
-        Path(args.out).write_text(document, encoding="utf-8")
+        Path(args.out).write_bytes(document)
     else:
-        print(document, end="")
-    return 0
+        _write_stdout(document)
+    return 2 if errors else 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

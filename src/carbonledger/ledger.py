@@ -6,14 +6,26 @@ write the whole line in one call, so concurrent readers never see a torn
 record and earlier lines are never rewritten. When the ledger ends in an
 unterminated line (a torn write), the append first writes the missing LF,
 so the new record gets a line of its own and the torn line stays where it
-is, for ``read_records`` to report.
+is, for readers to report.
+
+Every read goes through one streaming parser, :func:`scan_ledger`. A line
+in the form ``append_record`` writes (every key, ``v`` the integer 1) is
+checked in place and kept as its ledger object, a dict, so a report builds
+no ``PhaseSummary``; any other line gets the verdict of
+``ExperimentRecord.from_dict``. ``read_records`` raises on the first bad
+line; ``read_ledger`` keeps every readable line and the error of every bad
+one, so one torn line does not hide the rest of the ledger from a report.
 
 The text report mirrors the classic efficiency-reporting table: hours to
 three decimals, kWh and kg to two, km to two. CSV and JSON renderings
-carry full precision. The JSON report is an array with one record per
-line, in the ledger's own layout: each line is the record's ledger
-object (sorted keys, ``v`` included), with non-ASCII characters escaped
-so the document is ASCII.
+carry full precision; CSV fields holding a comma, quote or line break are
+quoted. The JSON report is an array with one record per line, in the
+ledger's own layout: each line is the record's ledger object (sorted
+keys, ``v`` included), with non-ASCII characters escaped so the document
+is ASCII. A stored line in ``append_record``'s form that is printable
+ASCII (no DEL, tab or other control character once stripped) passes
+through as stored, byte for byte what re-encoding would give unless it
+was edited by hand; any other line is re-encoded.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import fcntl
 import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -126,31 +139,115 @@ def append_record(ledger_path: str | Path, record: ExperimentRecord) -> int:
     return lines + line.count(b"\n")
 
 
-def read_records(ledger_path: str | Path) -> list[ExperimentRecord]:
-    """Parse every line of a ledger file, in append order.
+_LEDGER_KEYS = frozenset(_RECORD_FIELDS) | {"v"}
+_PHASE_KEYS = frozenset(_PHASE_FIELDS)
 
-    Raises LedgerParseError on a line that is not UTF-8 or not JSON (a
-    torn write can be either), is not a record of schema version
-    ``SCHEMA_VERSION``, or has unknown or missing keys.
+
+def _is_full_form(data) -> bool:
+    """Whether ``data`` is a ledger object in the form append_record writes:
+    every key, ``v`` the integer 1, lists of phases and notes, and phases
+    with exactly the phase keys and no figure below 0. from_dict accepts
+    every such object; this check builds neither record nor phase.
     """
-    records: list[ExperimentRecord] = []
+    if type(data) is not dict or data.keys() != _LEDGER_KEYS:
+        return False
+    version, phases = data["v"], data["phase_breakdown"]
+    if type(version) is not int or version != 1:
+        return False
+    if type(phases) is not list or type(data["quality_notes"]) is not list:
+        return False
+    try:
+        for p in phases:
+            # the figures PhaseSummary checks; a comparison it cannot make fails the line too
+            if (
+                type(p) is not dict
+                or p.keys() != _PHASE_KEYS
+                or p["duration_hours"] < 0
+                or p["facility_kwh"] < 0
+                or p["co2e_kg"] < 0
+            ):
+                return False
+    except TypeError:
+        return False
+    return True
+
+
+def scan_ledger(
+    ledger_path: str | Path,
+) -> Iterator[tuple[int, bytes, dict | ExperimentRecord | LedgerParseError]]:
+    """Stream a ledger: per non-blank line, its 1-based number, its stored
+    bytes, and its ledger object (a full-form line), its record (any other
+    line from_dict accepts) or the LedgerParseError that rejects it.
+
+    A line is rejected when it is not UTF-8 or not JSON (a torn write can be
+    either), is not a record of schema version ``SCHEMA_VERSION``, has
+    unknown or missing keys, or has a negative or non-numeric phase figure.
+    """
+    path = str(ledger_path)
     with open(ledger_path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise LedgerParseError(str(ledger_path), line_no, f"not UTF-8: {exc.reason}") from exc
+                yield line_no, raw, LedgerParseError(path, line_no, f"not UTF-8: {exc.reason}")
+                continue
             if not line:
                 continue
             try:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise LedgerParseError(str(ledger_path), line_no, f"not JSON: {exc.msg}") from exc
+                yield line_no, raw, LedgerParseError(path, line_no, f"not JSON: {exc.msg}")
+                continue
+            if _is_full_form(data):
+                yield line_no, raw, data
+                continue
             try:
-                records.append(ExperimentRecord.from_dict(data))
+                parsed = ExperimentRecord.from_dict(data)
             except (TypeError, ValueError) as exc:
-                raise LedgerParseError(str(ledger_path), line_no, str(exc)) from exc
+                parsed = LedgerParseError(path, line_no, str(exc))
+            yield line_no, raw, parsed
+
+
+def read_records(ledger_path: str | Path) -> list[ExperimentRecord]:
+    """Parse every line of a ledger file, in append order.
+
+    Raises the LedgerParseError of the first bad line (see scan_ledger).
+    """
+    records: list[ExperimentRecord] = []
+    for _, _, parsed in scan_ledger(ledger_path):
+        if isinstance(parsed, LedgerParseError):
+            raise parsed
+        records.append(parsed if isinstance(parsed, ExperimentRecord) else ExperimentRecord.from_dict(parsed))
     return records
+
+
+def _fields(parsed: dict | ExperimentRecord) -> dict:
+    """The record's values by field name, without building anything."""
+    return parsed if type(parsed) is dict else vars(parsed)
+
+
+def read_ledger(
+    ledger_path: str | Path, select: str | None = None
+) -> tuple[list[tuple[bytes, dict | ExperimentRecord]], list[LedgerParseError]]:
+    """The readable lines of a ledger as (stored bytes, parsed record)
+    pairs in append order, and the error of every bad line, for
+    :func:`render_stored`.
+
+    With ``select``, only records whose label contains it or whose
+    experiment_id equals it are kept.
+    """
+    stored: list[tuple[bytes, dict | ExperimentRecord]] = []
+    errors: list[LedgerParseError] = []
+    for _, raw, parsed in scan_ledger(ledger_path):
+        if isinstance(parsed, LedgerParseError):
+            errors.append(parsed)
+            continue
+        if select is not None:
+            values = _fields(parsed)
+            if select not in values["label"] and select != values["experiment_id"]:
+                continue
+        stored.append((raw, parsed))
+    return stored, errors
 
 
 _TEXT_COLUMNS = (
@@ -179,26 +276,43 @@ _CSV_FIELDS = (
 
 def render_report(records: list[ExperimentRecord], format: str = "text-table") -> str:
     """Render records as a text table, CSV, or JSON document."""
-    if not records:
+    return render_stored([(None, r) for r in records], format)
+
+
+def render_stored(stored: list[tuple[bytes | None, dict | ExperimentRecord]], format: str = "text-table") -> str:
+    """Render the (stored bytes, parsed record) pairs of read_ledger."""
+    if not stored:
         raise EmptySelection("no records to report")
-    if format in ("text-table", "text"):
-        return _render_text(records)
-    if format == "csv":
-        return _render_csv(records)
     if format == "json":
-        # No indent: with one, json.dumps falls back to its pure-Python encoder.
-        return "[\n" + ",\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in records) + "\n]\n"
+        return "[\n" + ",\n".join(_json_line(raw, parsed) for raw, parsed in stored) + "\n]\n"
+    rows = [_fields(parsed) for _, parsed in stored]
+    if format in ("text-table", "text"):
+        return _render_text(rows)
+    if format == "csv":
+        return _render_csv(rows)
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _render_text(records: list[ExperimentRecord]) -> str:
+def _json_line(raw: bytes | None, parsed: dict | ExperimentRecord) -> str:
+    # No indent: with one, json.dumps falls back to its pure-Python encoder.
+    if type(parsed) is not dict:
+        return json.dumps(parsed.to_dict(), sort_keys=True)
+    # json.dumps escapes DEL, which append_record writes raw; a tab or CR
+    # between tokens is JSON whitespace but would not keep one line per record
+    if raw.isascii() and (line := raw.decode("ascii").strip()).isprintable():
+        return line
+    # a full-form object encodes exactly as its record's to_dict() does
+    return json.dumps(parsed, sort_keys=True)
+
+
+def _render_text(records: list[dict]) -> str:
     rows = [
         (
-            r.label,
-            f"{r.duration_hours:.3f}",
-            f"{r.energy_kwh:.2f}",
-            f"{r.co2e_kg:.2f}",
-            f"{r.car_km:.2f}",
+            r["label"],
+            f"{r['duration_hours']:.3f}",
+            f"{r['energy_kwh']:.2f}",
+            f"{r['co2e_kg']:.2f}",
+            f"{r['car_km']:.2f}",
         )
         for r in records
     ]
@@ -213,13 +327,22 @@ def _render_text(records: list[ExperimentRecord]) -> str:
     return out.getvalue()
 
 
-def _render_csv(records: list[ExperimentRecord]) -> str:
+def _render_csv(records: list[dict]) -> str:
     out = io.StringIO()
     out.write(",".join(_CSV_FIELDS) + "\n")
     for r in records:
-        values = [getattr(r, name) for name in _CSV_FIELDS]
-        out.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
+        out.write(",".join(_csv_field(r[name]) for name in _CSV_FIELDS) + "\n")
     return out.getvalue()
+
+
+def _csv_field(value) -> str:
+    """A float at repr precision, anything else as str, quoted as RFC 4180
+    asks when it holds a comma, a quote or a line break. Not csv.writer: with
+    an LF line terminator it leaves a bare CR unquoted, which splits the row."""
+    text = repr(value) if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def parse_report_json(document: str) -> list[ExperimentRecord]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -374,6 +375,54 @@ def test_report_bad_ledger_line_exits_two(tmp_path, capsys, case):
     path = write_bad_ledger(tmp_path / "ledger.jsonl", case)
     assert main(["report", "--ledger", str(path)]) == 2
     assert f"{path}:2:" in capsys.readouterr().err
+
+
+def test_report_renders_every_readable_record_and_names_every_bad_line(tmp_path, capsys):
+    path = write_bad_ledger(tmp_path / "ledger.jsonl", "torn-multibyte")
+    ledger_mod.append_record(path, make_record("third"))
+    with open(path, "ab") as fh:
+        fh.write(b'{"v": 1}\n')
+    ledger_mod.append_record(path, make_record("fifth"))
+    out_file = tmp_path / "report.json"
+    assert main(["report", "--ledger", str(path), "--format", "json", "--out", str(out_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[0] for line in err] == [f"{path}:2", f"{path}:4"]
+    assert [r["label"] for r in json.loads(out_file.read_text())] == ["first", "third", "fifth"]
+    assert main(["report", "--ledger", str(path), "--filter", "fifth"]) == 2
+    captured = capsys.readouterr()
+    assert "fifth" in captured.out and "third" not in captured.out
+    assert len(captured.err.splitlines()) == 2
+
+
+def _cli(args: list[str], encoding: str):
+    import subprocess
+
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
+    return subprocess.run([sys.executable, "-m", "carbonledger.cli", *args], env=env, capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_report_writes_utf8_whatever_the_stdout_encoding(tmp_path, encoding):
+    path = tmp_path / "ledger.jsonl"
+    ledger_mod.append_record(path, make_record("λ-run"))
+    for fmt in ("text", "csv", "json"):
+        done = _cli(["report", "--ledger", str(path), "--format", fmt], encoding)
+        assert (done.returncode, done.stderr) == (0, b"")
+        out = tmp_path / fmt
+        assert _cli(["report", "--ledger", str(path), "--format", fmt, "--out", str(out)], encoding).returncode == 0
+        assert done.stdout == out.read_bytes()
+        assert ("λ-run" if fmt != "json" else "\\u03bb-run").encode("utf-8") in done.stdout
+
+
+def test_run_returns_the_child_code_under_an_ascii_stdout(tmp_path):
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = tmp_path / "ledger.jsonl"
+    base = ["run", "--label", "λ", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--"]
+    done = _cli([*base, "true"], "ascii")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert "λ ".encode("utf-8") in done.stdout
+    assert _cli([*base, sys.executable, "-c", "import sys; sys.exit(3)"], "ascii").returncode == 3
+    assert [r.label for r in read_records(ledger_path)] == ["λ", "λ"]
 
 
 def test_predict_linear_scaling_with_registry_default(capsys):

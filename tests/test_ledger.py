@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import copy
+import csv
+import io
 import json
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbonledger.errors import EmptySelection, InconsistentRecord, LedgerParseError, UnknownBaseline
@@ -14,8 +19,11 @@ from carbonledger.ledger import (
     append_record,
     compare,
     parse_report_json,
+    read_ledger,
     read_records,
     render_report,
+    render_stored,
+    scan_ledger,
 )
 
 from conftest import golden_records, make_record, write_bad_ledger
@@ -251,3 +259,236 @@ def test_json_report_is_one_ledger_object_per_line(records):
     assert (lines[0], lines[-1]) == ("[", "]")
     for line, record in zip(lines[1:-1], records):
         assert json.loads(line.removesuffix(",")) == record.to_dict()
+
+
+def reference_scan(data: bytes) -> list[tuple[int, ExperimentRecord | str]]:
+    """Per non-blank line of a ledger's bytes, its number and its record, or
+    the reason it is rejected, by decoding, json.loads and from_dict."""
+    verdicts = []
+    for line_no, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            verdicts.append((line_no, "not UTF-8"))
+            continue
+        if not line:
+            continue
+        try:
+            parsed = json.loads(line)
+        except json.JSONDecodeError:
+            verdicts.append((line_no, "not JSON"))
+            continue
+        try:
+            verdicts.append((line_no, ExperimentRecord.from_dict(parsed)))
+        except (TypeError, ValueError) as exc:
+            verdicts.append((line_no, str(exc)))
+    return verdicts
+
+
+def canonical(record: ExperimentRecord) -> str:
+    return json.dumps(record.to_dict(), sort_keys=True)
+
+
+# deep-copied, so a mutation of one example never leaks into the next
+_odd_values = st.sampled_from([-1.0, -1e-300, 0.0, float("nan"), 2, "1.0", None, True, [], {}, [["a", 1]], "ab", ""])
+_odd_values = _odd_values.map(copy.deepcopy)
+
+
+@st.composite
+def ledger_objects(draw):
+    """A record's ledger object with up to two mutations: a dropped, added
+    or retyped key, an odd ``v``, an odd phase, or a list of pairs (which
+    dict() still turns into a record)."""
+    data = draw(ledger_records()).to_dict()
+    for _ in range(draw(st.integers(0, 2))):
+        phases = data.get("phase_breakdown")
+        target = draw(
+            st.sampled_from(
+                ["drop", "add", "v", "phase_breakdown", "quality_notes", "label", "phase", "phase-key", "pairs"]
+            )
+        )
+        if target == "drop" and data:
+            data.pop(draw(st.sampled_from(sorted(data))))
+        elif target == "add":
+            data["surprise"] = draw(_odd_values)
+        elif target == "v":
+            data["v"] = draw(st.sampled_from([0, 2, 1.0, True, "1", None]))
+        elif target in ("phase_breakdown", "quality_notes", "label"):
+            data[target] = draw(_odd_values)
+        elif target == "pairs":
+            return [list(item) for item in data.items()]
+        elif isinstance(phases, list) and phases and isinstance(phases[0], dict):
+            phase = phases[0]
+            if target == "phase" and phase and draw(st.booleans()):
+                phase[draw(st.sampled_from(sorted(phase)))] = draw(_odd_values)
+            elif target == "phase":
+                phases[0] = draw(_odd_values)
+            elif phase and draw(st.booleans()):
+                phase.pop(draw(st.sampled_from(sorted(phase))))
+            else:
+                phase["extra"] = 1
+    return data
+
+
+@st.composite
+def ledger_lines(draw) -> bytes:
+    kind = draw(st.sampled_from(["object", "object", "object", "torn", "blank", "bytes", "json"]))
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b"  ", b"\t", b"\r", "\x1c".encode()]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=30)).replace(b"\n", b"")
+    if kind == "json":
+        value = draw(st.one_of(st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=3)))
+        return json.dumps(value).encode()
+    line = json.dumps(draw(ledger_objects()), sort_keys=draw(st.booleans()), ensure_ascii=draw(st.booleans())).encode()
+    if kind == "torn":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    return line
+
+
+def edited_line(edit) -> bytes:
+    data = make_record("λ").to_dict()
+    edit(data)
+    return json.dumps(data).encode()
+
+
+def set_phase(name, value):
+    return lambda data: data["phase_breakdown"][1].__setitem__(name, value)
+
+
+# One line per check the in-place reader makes, and per quirk from_dict accepts
+EDGE_LINES = [
+    *(edited_line(set_phase(name, -1e-300)) for name in ("duration_hours", "facility_kwh", "co2e_kg")),
+    *(edited_line(set_phase("co2e_kg", value)) for value in (float("nan"), True, "1.0", None)),
+    edited_line(lambda d: d["phase_breakdown"][1].pop("phase_name")),
+    edited_line(set_phase("extra", 1)),
+    edited_line(lambda d: d["phase_breakdown"].append([["phase_name", "x"]])),
+    *(edited_line(lambda d, v=value: d.update(phase_breakdown=v)) for value in ({}, "ab", None)),
+    *(edited_line(lambda d, v=value: d.update(quality_notes=v)) for value in ("ab", {}, None)),
+    *(edited_line(lambda d, v=value: d.update(v=v)) for value in (1.0, True, 2, "1", None)),
+    *(edited_line(lambda d, k=key: d.pop(k)) for key in ("v", "label", "phase_breakdown", "quality_notes")),
+    edited_line(lambda d: d.update(surprise=1)),
+    json.dumps(list(make_record("pairs").to_dict().items())).encode(),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ledger_lines(), max_size=6), st.booleans())
+@example(EDGE_LINES, True)
+def test_scan_ledger_accepts_and_rejects_what_from_dict_does(lines, final_newline):
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        path.write_bytes(data)
+        scanned = list(scan_ledger(path))
+        expected = reference_scan(data)
+        assert [line_no for line_no, _, _ in scanned] == [line_no for line_no, _ in expected]
+        pieces = data.split(b"\n")
+        for (line_no, raw, parsed), (_, verdict) in zip(scanned, expected):
+            assert raw.removesuffix(b"\n") == pieces[line_no - 1]
+            if isinstance(verdict, str):
+                assert isinstance(parsed, LedgerParseError)
+                assert (parsed.path, parsed.line_no) == (str(path), line_no)
+                assert parsed.reason.startswith(verdict)
+            else:
+                assert not isinstance(parsed, LedgerParseError)
+                record = parsed if isinstance(parsed, ExperimentRecord) else ExperimentRecord.from_dict(parsed)
+                # compared as canonical JSON, where a NaN figure equals itself
+                assert canonical(record) == canonical(verdict)
+                (reported,) = json.loads(render_stored([(raw, parsed)], "json"))
+                assert json.dumps(reported, sort_keys=True) == canonical(verdict)
+        first_bad = next((v for v in expected if isinstance(v[1], str)), None)
+        if first_bad is None:
+            assert [canonical(r) for r in read_records(path)] == [canonical(v) for _, v in expected]
+        else:
+            with pytest.raises(LedgerParseError) as caught:
+                read_records(path)
+            assert caught.value.line_no == first_bad[0]
+
+
+def ledger_report_json(records: list[ExperimentRecord]) -> str:
+    """The JSON report as every record re-encoded from its to_dict()."""
+    return "[\n" + ",\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in records) + "\n]\n"
+
+
+_report_labels = st.one_of(
+    st.sampled_from(["café", "λ", "plain", "del\x7f", "tab\t", 'q"uote', "a,b"]), st.text(max_size=8)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            lambda label, kwh, notes: make_record(
+                label, kwh=kwh, experiment_id=label + "-id", quality_notes=tuple(notes)
+            ),
+            _report_labels,
+            st.floats(0.0, 1e6),
+            st.lists(_report_labels, max_size=2),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_json_report_of_appended_ledger_is_byte_identical_to_re_encoding(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        for record in records:
+            append_record(path, record)
+        stored, errors = read_ledger(path)
+        document = render_stored(stored, "json")
+        assert errors == []
+        assert document == render_report(read_records(path), "json") == ledger_report_json(records)
+        assert document.isascii()
+
+
+def test_hand_edited_lines_report_as_loads_equal_ascii(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    labels = ["spaced", "λ-edited", "no-optional-keys", "float-v", "cr-separated"]
+    records = [make_record(label) for label in labels]
+    objects = [r.to_dict() for r in records]
+    objects[2].pop("phase_breakdown")
+    objects[2].pop("quality_notes")
+    objects[3]["v"] = 1.0
+    spaced = json.dumps(dict(reversed(objects[0].items())), separators=(" ,  ", " :  "))
+    lines = [f"  {spaced}\t", json.dumps(objects[1], ensure_ascii=False, indent=None)]
+    lines += [json.dumps(obj) for obj in objects[2:4]]
+    lines.append(json.dumps(objects[4], separators=(", ", ":\r")))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    stored, errors = read_ledger(path)
+    assert errors == []
+    document = render_stored(stored, "json")
+    assert document.isascii()
+    body = document.splitlines()[1:-1]
+    assert len(body) == len(records)
+    assert json.loads(document) == [ExperimentRecord.from_dict(obj).to_dict() for obj in objects]
+    assert body[0] == spaced + ","  # passed through as stored
+    for line, obj in zip(body[1:], objects[1:]):  # re-encoded with sorted keys
+        assert line.removesuffix(",") == json.dumps(ExperimentRecord.from_dict(obj).to_dict(), sort_keys=True)
+
+
+def test_read_ledger_keeps_every_readable_record_and_names_every_bad_line(tmp_path):
+    path = write_bad_ledger(tmp_path / "ledger.jsonl", "torn")
+    append_record(path, make_record("third"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(dict(make_record("fourth").to_dict(), v=2)) + "\n\n")
+    append_record(path, make_record("fifth"))
+    stored, errors = read_ledger(path)
+    assert [(e.line_no, e.reason.split(":")[0]) for e in errors] == [(2, "not JSON"), (4, "unknown schema version 2")]
+    assert [parsed["label"] for _, parsed in stored] == ["first", "third", "fifth"]
+    assert [parsed["label"] for _, parsed in read_ledger(path, select="fi")[0]] == ["first", "fifth"]
+    assert [parsed["label"] for _, parsed in read_ledger(path, select="id-third")[0]] == ["third"]
+
+
+@pytest.mark.parametrize("label", ['a,"b"', "line\nbreak", "carriage\rreturn", "crlf\r\n", "plain"])
+def test_csv_report_round_trips_through_csv_reader(label):
+    records = [make_record(label, kwh=0.1 + 0.2), make_record("next")]
+    document = render_report(records, "csv")
+    rows = list(csv.reader(io.StringIO(document, newline="")))
+    assert len(rows) == 1 + len(records)
+    assert all(len(row) == len(rows[0]) == 12 for row in rows)
+    assert rows[1][rows[0].index("label")] == label
+    assert float(rows[1][rows[0].index("energy_kwh")]) == records[0].energy_kwh
+    plain = ",".join(repr(v) if isinstance(v, float) else str(v) for v in (getattr(records[1], n) for n in rows[0]))
+    assert document.endswith("\n" + plain + "\n")
