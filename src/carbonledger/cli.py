@@ -152,8 +152,8 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
     registry_path = _resolve(args.registry, config, "registry")
     events_path = _resolve(args.events, config, "events")
     probe_specs = args.probe or ([config["probe"]] if "probe" in config else [])
-    if not (1 <= pue < math.inf and interval_ms >= 1 and 0 < car_factor < math.inf):
-        print("pue must be >= 1, interval-ms >= 1 and car-factor > 0, all finite", file=sys.stderr)
+    if not (1 <= pue < math.inf and interval_ms >= 1 and planned_epochs >= 1 and 0 < car_factor < math.inf):
+        print("pue must be >= 1, interval-ms >= 1, planned-epochs >= 1 and car-factor > 0, all finite", file=sys.stderr)
         return 2
     if not probe_specs:
         print("at least one --probe is required", file=sys.stderr)
@@ -216,7 +216,7 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
         setup, epochs = forecast.phase_summaries(snapshot, pue, intensity)
         if not epochs:
             return
-        early = forecast.predict(epochs[:1], setup, max(planned_epochs, 1), intensity)
+        early = forecast.predict(epochs[:1], setup, planned_epochs, intensity)
         print(
             f"forecast after epoch 1: {early.predicted_kwh:.3f} kWh, "
             f"{early.predicted_co2e_kg:.4f} kg CO2e, {early.predicted_duration_hours:.3f} h "

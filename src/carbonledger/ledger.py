@@ -8,13 +8,18 @@ unterminated line (a torn write), the append first writes the missing LF,
 so the new record gets a line of its own and the torn line stays where it
 is, for readers to report.
 
-Every read goes through one streaming parser, :func:`scan_ledger`. A line
-in the form ``append_record`` writes (every key, ``v`` the integer 1) is
-checked in place and kept as its ledger object, a dict, so a report builds
-no ``PhaseSummary``; any other line gets the verdict of
-``ExperimentRecord.from_dict``. ``read_records`` raises on the first bad
-line; ``read_ledger`` keeps every readable line and the error of every bad
-one, so one torn line does not hide the rest of the ledger from a report.
+A ledger line is a record exactly when its object is what
+``append_record`` writes, in any key order, spacing or escaping: every
+record key plus ``v``, the integer 1; each field of its annotated type (a
+float field holds a number, never a boolean); a list of strings for
+``quality_notes``; and a list of phases, each with exactly the phase keys,
+each of its type, and figures not below 0. :func:`check_ledger_object` is
+that rule; ``ExperimentRecord.from_dict`` and :func:`scan_ledger`, the one
+streaming parser, both apply it. The parser keeps each line as its ledger
+object, a dict, so a report builds no ``PhaseSummary``. ``read_records``
+raises on the first bad line; ``read_ledger`` keeps every readable line
+and the error of every bad one, so one torn line does not hide the rest
+of the ledger from a report.
 
 The text report mirrors the classic efficiency-reporting table: hours to
 three decimals, kWh and kg to two, km to two. CSV and JSON renderings
@@ -22,10 +27,10 @@ carry full precision; CSV fields holding a comma, quote or line break are
 quoted. The JSON report is an array with one record per line, in the
 ledger's own layout: each line is the record's ledger object (sorted
 keys, ``v`` included), with non-ASCII characters escaped so the document
-is ASCII. A stored line in ``append_record``'s form that is printable
-ASCII (no DEL, tab or other control character once stripped) passes
-through as stored, byte for byte what re-encoding would give unless it
-was edited by hand; any other line is re-encoded.
+is ASCII. A stored line that is printable ASCII (no DEL, tab or other
+control character once stripped) passes through as stored, byte for byte
+what re-encoding would give unless it was edited by hand; any other line
+is re-encoded.
 """
 
 from __future__ import annotations
@@ -97,13 +102,9 @@ class ExperimentRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentRecord":
-        values = dict(data)
-        version = values.pop("v", None)
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unknown schema version {version!r}")
-        values["phase_breakdown"] = tuple(PhaseSummary(**p) for p in values.get("phase_breakdown", []))
-        values["quality_notes"] = tuple(values.get("quality_notes", []))
-        return ExperimentRecord(**values)
+        """The record of a ledger object; check_ledger_object's ValueError if it is not one."""
+        check_ledger_object(data)
+        return _record(data)
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
@@ -141,47 +142,64 @@ def append_record(ledger_path: str | Path, record: ExperimentRecord) -> int:
 
 _LEDGER_KEYS = frozenset(_RECORD_FIELDS) | {"v"}
 _PHASE_KEYS = frozenset(_PHASE_FIELDS)
+_PHASE_FIGURES = ("duration_hours", "facility_kwh", "co2e_kg")
+# compared with type(), so a boolean is not a number
+_NUMBER = (float, int)
+# every record field but the phases and the notes, by its annotated type:
+# the types json.loads may give its value, and what the value must be
+_JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"), "float": (_NUMBER, "a number")}
+_RECORD_SCALARS = [(f.name, *_JSON_TYPES[f.type]) for f in fields(ExperimentRecord) if f.type in _JSON_TYPES]
 
 
-def _is_full_form(data) -> bool:
-    """Whether ``data`` is a ledger object in the form append_record writes:
-    every key, ``v`` the integer 1, lists of phases and notes, and phases
-    with exactly the phase keys and no figure below 0. from_dict accepts
-    every such object; this check builds neither record nor phase.
-    """
-    if type(data) is not dict or data.keys() != _LEDGER_KEYS:
-        return False
-    version, phases = data["v"], data["phase_breakdown"]
-    if type(version) is not int or version != 1:
-        return False
-    if type(phases) is not list or type(data["quality_notes"]) is not list:
-        return False
-    try:
-        for p in phases:
-            # the figures PhaseSummary checks; a comparison it cannot make fails the line too
-            if (
-                type(p) is not dict
-                or p.keys() != _PHASE_KEYS
-                or p["duration_hours"] < 0
-                or p["facility_kwh"] < 0
-                or p["co2e_kg"] < 0
-            ):
-                return False
-    except TypeError:
-        return False
-    return True
+def check_ledger_object(data) -> None:
+    """Raise ValueError, naming the key or field at fault, unless ``data``
+    (as json.loads gives it) is a ledger object in the one form
+    append_record writes; the module docstring states the rule."""
+    if type(data) is not dict:
+        raise ValueError("not a JSON object")
+    version = data.get("v")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unknown schema version {version!r}")
+    if data.keys() != _LEDGER_KEYS:
+        unknown = data.keys() - _LEDGER_KEYS
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r}")
+        raise ValueError(f"missing key {min(_LEDGER_KEYS - data.keys())!r}")
+    for name, types, kind in _RECORD_SCALARS:
+        if type(data[name]) not in types:
+            raise ValueError(f"{name} must be {kind}")
+    notes = data["quality_notes"]
+    if type(notes) is not list or not all(type(note) is str for note in notes):
+        raise ValueError("quality_notes must be a list of strings")
+    phases = data["phase_breakdown"]
+    if type(phases) is not list:
+        raise ValueError("phase_breakdown must be a list")
+    for i, phase in enumerate(phases):
+        if type(phase) is not dict or phase.keys() != _PHASE_KEYS:
+            raise ValueError(f"phase_breakdown[{i}] must be an object with the keys {', '.join(_PHASE_FIELDS)}")
+        if type(phase["phase_name"]) is not str:
+            raise ValueError(f"phase_breakdown[{i}].phase_name must be a string")
+        for name in _PHASE_FIGURES:
+            value = phase[name]
+            if type(value) not in _NUMBER or value < 0:
+                raise ValueError(f"phase_breakdown[{i}].{name} must be a number >= 0")
 
 
-def scan_ledger(
-    ledger_path: str | Path,
-) -> Iterator[tuple[int, bytes, dict | ExperimentRecord | LedgerParseError]]:
+def _record(data: dict) -> ExperimentRecord:
+    """The record of a ledger object that check_ledger_object passed."""
+    values = {name: data[name] for name in _RECORD_FIELDS}
+    values["phase_breakdown"] = tuple(PhaseSummary(**p) for p in data["phase_breakdown"])
+    values["quality_notes"] = tuple(data["quality_notes"])
+    return ExperimentRecord(**values)
+
+
+def scan_ledger(ledger_path: str | Path) -> Iterator[tuple[int, bytes, dict | LedgerParseError]]:
     """Stream a ledger: per non-blank line, its 1-based number, its stored
-    bytes, and its ledger object (a full-form line), its record (any other
-    line from_dict accepts) or the LedgerParseError that rejects it.
+    bytes, and its ledger object or the LedgerParseError that rejects it.
 
     A line is rejected when it is not UTF-8 or not JSON (a torn write can be
-    either), is not a record of schema version ``SCHEMA_VERSION``, has
-    unknown or missing keys, or has a negative or non-numeric phase figure.
+    either, and so can an integer too long to convert or nesting too deep
+    to decode), or when check_ledger_object rejects its object.
     """
     path = str(ledger_path)
     with open(ledger_path, "rb") as fh:
@@ -195,17 +213,16 @@ def scan_ledger(
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield line_no, raw, LedgerParseError(path, line_no, f"not JSON: {exc.msg}")
-                continue
-            if _is_full_form(data):
-                yield line_no, raw, data
+            except (ValueError, RecursionError) as exc:
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                yield line_no, raw, LedgerParseError(path, line_no, f"not JSON: {reason}")
                 continue
             try:
-                parsed = ExperimentRecord.from_dict(data)
-            except (TypeError, ValueError) as exc:
-                parsed = LedgerParseError(path, line_no, str(exc))
-            yield line_no, raw, parsed
+                check_ledger_object(data)
+            except ValueError as exc:
+                yield line_no, raw, LedgerParseError(path, line_no, str(exc))
+            else:
+                yield line_no, raw, data
 
 
 def read_records(ledger_path: str | Path) -> list[ExperimentRecord]:
@@ -217,36 +234,27 @@ def read_records(ledger_path: str | Path) -> list[ExperimentRecord]:
     for _, _, parsed in scan_ledger(ledger_path):
         if isinstance(parsed, LedgerParseError):
             raise parsed
-        records.append(parsed if isinstance(parsed, ExperimentRecord) else ExperimentRecord.from_dict(parsed))
+        records.append(_record(parsed))
     return records
-
-
-def _fields(parsed: dict | ExperimentRecord) -> dict:
-    """The record's values by field name, without building anything."""
-    return parsed if type(parsed) is dict else vars(parsed)
 
 
 def read_ledger(
     ledger_path: str | Path, select: str | None = None
-) -> tuple[list[tuple[bytes, dict | ExperimentRecord]], list[LedgerParseError]]:
-    """The readable lines of a ledger as (stored bytes, parsed record)
+) -> tuple[list[tuple[bytes, dict]], list[LedgerParseError]]:
+    """The readable lines of a ledger as (stored bytes, ledger object)
     pairs in append order, and the error of every bad line, for
     :func:`render_stored`.
 
     With ``select``, only records whose label contains it or whose
     experiment_id equals it are kept.
     """
-    stored: list[tuple[bytes, dict | ExperimentRecord]] = []
+    stored: list[tuple[bytes, dict]] = []
     errors: list[LedgerParseError] = []
     for _, raw, parsed in scan_ledger(ledger_path):
         if isinstance(parsed, LedgerParseError):
             errors.append(parsed)
-            continue
-        if select is not None:
-            values = _fields(parsed)
-            if select not in values["label"] and select != values["experiment_id"]:
-                continue
-        stored.append((raw, parsed))
+        elif select is None or select in parsed["label"] or select == parsed["experiment_id"]:
+            stored.append((raw, parsed))
     return stored, errors
 
 
@@ -258,34 +266,25 @@ _TEXT_COLUMNS = (
     "Travel by car (km)",
 )
 
-_CSV_FIELDS = (
-    "experiment_id",
-    "label",
-    "started_at",
-    "duration_hours",
-    "epochs_completed",
-    "energy_kwh",
-    "intensity_g_per_kwh",
-    "pue",
-    "co2e_kg",
-    "car_km",
-    "car_factor_kg_per_km",
-    "region",
-)
+# every record field but the phases and the notes, in declaration order
+_CSV_FIELDS = tuple(name for name, _, _ in _RECORD_SCALARS)
 
 
 def render_report(records: list[ExperimentRecord], format: str = "text-table") -> str:
     """Render records as a text table, CSV, or JSON document."""
-    return render_stored([(None, r) for r in records], format)
+    # text and CSV read a record's values by field name; JSON needs its ledger object
+    return render_stored([(None, r.to_dict() if format == "json" else vars(r)) for r in records], format)
 
 
-def render_stored(stored: list[tuple[bytes | None, dict | ExperimentRecord]], format: str = "text-table") -> str:
-    """Render the (stored bytes, parsed record) pairs of read_ledger."""
+def render_stored(stored: list[tuple[bytes | None, dict]], format: str = "text-table") -> str:
+    """Render the (stored bytes, ledger object) pairs of read_ledger; a
+    JSON line is re-encoded from the object where there are no bytes."""
     if not stored:
         raise EmptySelection("no records to report")
     if format == "json":
-        return "[\n" + ",\n".join(_json_line(raw, parsed) for raw, parsed in stored) + "\n]\n"
-    rows = [_fields(parsed) for _, parsed in stored]
+        # No indent: with one, json.dumps falls back to its pure-Python encoder.
+        return "[\n" + ",\n".join(_json_line(raw, data) for raw, data in stored) + "\n]\n"
+    rows = [data for _, data in stored]
     if format in ("text-table", "text"):
         return _render_text(rows)
     if format == "csv":
@@ -293,16 +292,13 @@ def render_stored(stored: list[tuple[bytes | None, dict | ExperimentRecord]], fo
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _json_line(raw: bytes | None, parsed: dict | ExperimentRecord) -> str:
-    # No indent: with one, json.dumps falls back to its pure-Python encoder.
-    if type(parsed) is not dict:
-        return json.dumps(parsed.to_dict(), sort_keys=True)
+def _json_line(raw: bytes | None, data: dict) -> str:
     # json.dumps escapes DEL, which append_record writes raw; a tab or CR
     # between tokens is JSON whitespace but would not keep one line per record
-    if raw.isascii() and (line := raw.decode("ascii").strip()).isprintable():
+    if raw is not None and raw.isascii() and (line := raw.decode("ascii").strip()).isprintable():
         return line
-    # a full-form object encodes exactly as its record's to_dict() does
-    return json.dumps(parsed, sort_keys=True)
+    # a ledger object encodes exactly as its record's to_dict() does
+    return json.dumps(data, sort_keys=True)
 
 
 def _render_text(records: list[dict]) -> str:

@@ -112,9 +112,16 @@ def make_record(
 
 def write_bad_ledger(path: Path, case: str) -> Path:
     """A ledger whose second line is ``torn``, has an ``unknown-key`` or an
-    ``unknown-version``, or is a record labelled ``café`` torn inside the
-    ``é`` (``torn-multibyte``)."""
+    ``unknown-version``, is a record labelled ``café`` torn inside the
+    ``é`` (``torn-multibyte``), or is JSON that json.loads cannot decode:
+    a 5,000-digit integer (``long-integer``) or 100,000 nested ``[``
+    (``deep-nesting``)."""
     path.write_text(json.dumps(make_record("first").to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+    undecodable = {"long-integer": b'{"v": ' + b"1" * 5000 + b"}", "deep-nesting": b"[" * 100_000}
+    if case in undecodable:
+        with open(path, "ab") as fh:
+            fh.write(undecodable[case] + b"\n")
+        return path
     data = make_record("café" if case == "torn-multibyte" else "second").to_dict()
     if case == "unknown-key":
         data["surprise"] = 1

@@ -110,6 +110,8 @@ def rejected_before_spawn(tmp_path: Path, run_args: list[str]) -> bool:
         ["--car-factor", "inf"],
         ["--pue", "nan"],
         ["--pue", "inf"],
+        ["--planned-epochs", "0"],
+        ["--planned-epochs", "-4"],
     ],
 )
 def test_run_rejects_bad_numbers_before_spawning(tmp_path, capsys, flags):
@@ -123,6 +125,7 @@ def test_run_rejects_bad_numbers_before_spawning(tmp_path, capsys, flags):
         ("label = x\njust words\n", "run.conf:2:"),
         ("pue = high\n", "'pue'"),
         ("interval_ms = 1.5\n", "'interval_ms'"),
+        ("planned_epochs = 0\n", "planned-epochs >= 1"),
     ],
 )
 def test_run_malformed_config_exits_two(tmp_path, capsys, text, named):
@@ -392,6 +395,55 @@ def test_report_renders_every_readable_record_and_names_every_bad_line(tmp_path,
     captured = capsys.readouterr()
     assert "fifth" in captured.out and "third" not in captured.out
     assert len(captured.err.splitlines()) == 2
+
+
+@pytest.mark.parametrize("case", ["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_report_names_a_line_json_cannot_decode(tmp_path, capsys, case, fmt):
+    path = write_bad_ledger(tmp_path / "ledger.jsonl", case)
+    ledger_mod.append_record(path, make_record("third"))
+    out_file = tmp_path / "report"
+    assert main(["report", "--ledger", str(path), "--format", fmt, "--out", str(out_file)]) == 2
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"{path}:2: not JSON: ")
+    report = out_file.read_text(encoding="utf-8")
+    assert "first" in report and "third" in report
+
+
+# Ledger objects that break the stored form, each with the reason it is named for
+OFF_FORM_EDITS = [
+    (lambda d: d.update(label=5), "label must be a string"),
+    (lambda d: d.update(duration_hours="x"), "duration_hours must be a number"),
+    (lambda d: d.update(energy_kwh=None), "energy_kwh must be a number"),
+    (lambda d: d.update(quality_notes="ab"), "quality_notes must be a list of strings"),
+    (lambda d: [d.pop("phase_breakdown"), d.pop("quality_notes")], "missing key 'phase_breakdown'"),
+    (lambda d: d.update(v=1.0), "unknown schema version 1.0"),
+]
+
+
+def test_report_names_every_line_off_the_stored_form(tmp_path, capsys):
+    path = tmp_path / "ledger.jsonl"
+    ledger_mod.append_record(path, make_record("good-0"))
+    for i, (edit, _) in enumerate(OFF_FORM_EDITS, start=1):
+        data = make_record(f"bad-{i}").to_dict()
+        edit(data)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(data) + "\n")
+        ledger_mod.append_record(path, make_record(f"good-{i}"))
+    named = [f"{path}:{2 * i}: {reason}" for i, (_, reason) in enumerate(OFF_FORM_EDITS, start=1)]
+    every = [f"good-{i}" for i in range(len(OFF_FORM_EDITS) + 1)]
+    for select, labels in ((None, every), ("good-3", ["good-3"])):
+        for fmt in ("text", "csv", "json"):
+            args = ["report", "--ledger", str(path), "--format", fmt]
+            assert main(args + (["--filter", select] if select else [])) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == named
+            if fmt == "json":
+                assert [r["label"] for r in json.loads(captured.out)] == labels
+            elif fmt == "csv":
+                assert [row.split(",")[1] for row in captured.out.splitlines()[1:]] == labels
+            else:
+                assert [row.split(" | ")[0].strip() for row in captured.out.splitlines()[2:]] == labels
 
 
 def _cli(args: list[str], encoding: str):

@@ -181,6 +181,8 @@ def test_ledger_jsonl_round_trip_with_phases_and_notes(tmp_path):
         ("torn-multibyte", "not UTF-8"),
         ("unknown-key", "surprise"),
         ("unknown-version", "version 2"),
+        ("long-integer", "not JSON"),
+        ("deep-nesting", "not JSON"),
     ],
 )
 def test_bad_ledger_line_raises_ledger_parse_error(tmp_path, case, reason):
@@ -261,9 +263,62 @@ def test_json_report_is_one_ledger_object_per_line(records):
         assert json.loads(line.removesuffix(",")) == record.to_dict()
 
 
-def reference_scan(data: bytes) -> list[tuple[int, ExperimentRecord | str]]:
-    """Per non-blank line of a ledger's bytes, its number and its record, or
-    the reason it is rejected, by decoding, json.loads and from_dict."""
+# The one stored form, written out without the library: what append_record
+# writes, in any key order, spacing or escaping.
+STRING_KEYS = ("experiment_id", "label", "started_at", "region")
+FIGURE_KEYS = (
+    "duration_hours",
+    "energy_kwh",
+    "intensity_g_per_kwh",
+    "pue",
+    "co2e_kg",
+    "car_km",
+    "car_factor_kg_per_km",
+)
+LEDGER_KEYS = {*STRING_KEYS, *FIGURE_KEYS, "epochs_completed", "phase_breakdown", "quality_notes", "v"}
+PHASE_KEYS = {"phase_name", "duration_hours", "facility_kwh", "co2e_kg"}
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, float) or is_integer(value)
+
+
+def is_phase(phase) -> bool:
+    if not isinstance(phase, dict) or set(phase) != PHASE_KEYS or not isinstance(phase["phase_name"], str):
+        return False
+    figures = [phase["duration_hours"], phase["facility_kwh"], phase["co2e_kg"]]
+    # not below 0; a NaN is not, and append_record writes what a record holds
+    return all(is_number(x) and not x < 0 for x in figures)
+
+
+def is_stored_form(obj) -> bool:
+    if not isinstance(obj, dict) or set(obj) != LEDGER_KEYS:
+        return False
+    notes, phases = obj["quality_notes"], obj["phase_breakdown"]
+    return (
+        is_integer(obj["v"])
+        and obj["v"] == 1
+        and all(isinstance(obj[key], str) for key in STRING_KEYS)
+        and is_integer(obj["epochs_completed"])
+        and all(is_number(obj[key]) for key in FIGURE_KEYS)
+        and isinstance(notes, list)
+        and all(isinstance(note, str) for note in notes)
+        and isinstance(phases, list)
+        and all(is_phase(phase) for phase in phases)
+    )
+
+
+REJECTED = "rejected"
+
+
+def reference_scan(data: bytes) -> list[tuple[int, object]]:
+    """Per non-blank line of a ledger's bytes, its number and its ledger
+    object if it is in the stored form, else "not UTF-8", "not JSON" or
+    REJECTED."""
     verdicts = []
     for line_no, raw in enumerate(data.split(b"\n"), start=1):
         try:
@@ -275,13 +330,10 @@ def reference_scan(data: bytes) -> list[tuple[int, ExperimentRecord | str]]:
             continue
         try:
             parsed = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:
             verdicts.append((line_no, "not JSON"))
             continue
-        try:
-            verdicts.append((line_no, ExperimentRecord.from_dict(parsed)))
-        except (TypeError, ValueError) as exc:
-            verdicts.append((line_no, str(exc)))
+        verdicts.append((line_no, parsed if is_stored_form(parsed) else REJECTED))
     return verdicts
 
 
@@ -290,30 +342,29 @@ def canonical(record: ExperimentRecord) -> str:
 
 
 # deep-copied, so a mutation of one example never leaks into the next
-_odd_values = st.sampled_from([-1.0, -1e-300, 0.0, float("nan"), 2, "1.0", None, True, [], {}, [["a", 1]], "ab", ""])
+_odd_values = st.sampled_from(
+    [-1.0, -1e-300, 0.0, float("nan"), 2, 1.5, "1.0", "ab", "", None, True, [], {}, [["a", 1]], ["a", 1]]
+)
 _odd_values = _odd_values.map(copy.deepcopy)
+_RETYPED = ("phase_breakdown", "quality_notes", "label", "energy_kwh", "epochs_completed")
 
 
 @st.composite
 def ledger_objects(draw):
     """A record's ledger object with up to two mutations: a dropped, added
     or retyped key, an odd ``v``, an odd phase, or a list of pairs (which
-    dict() still turns into a record)."""
+    a dict() of it would turn back into a record)."""
     data = draw(ledger_records()).to_dict()
     for _ in range(draw(st.integers(0, 2))):
         phases = data.get("phase_breakdown")
-        target = draw(
-            st.sampled_from(
-                ["drop", "add", "v", "phase_breakdown", "quality_notes", "label", "phase", "phase-key", "pairs"]
-            )
-        )
+        target = draw(st.sampled_from(["drop", "add", "v", *_RETYPED, "phase", "phase-key", "pairs"]))
         if target == "drop" and data:
             data.pop(draw(st.sampled_from(sorted(data))))
         elif target == "add":
             data["surprise"] = draw(_odd_values)
         elif target == "v":
             data["v"] = draw(st.sampled_from([0, 2, 1.0, True, "1", None]))
-        elif target in ("phase_breakdown", "quality_notes", "label"):
+        elif target in _RETYPED:
             data[target] = draw(_odd_values)
         elif target == "pairs":
             return [list(item) for item in data.items()]
@@ -356,16 +407,27 @@ def set_phase(name, value):
     return lambda data: data["phase_breakdown"][1].__setitem__(name, value)
 
 
-# One line per check the in-place reader makes, and per quirk from_dict accepts
+def set_field(name, value):
+    return lambda data: data.__setitem__(name, value)
+
+
+# One line per check of the stored form, and per quirk an earlier, lenient
+# reader accepted (a list of pairs, notes "ab", phases {}, v 1.0 or true, a
+# missing phase_breakdown or quality_notes)
 EDGE_LINES = [
     *(edited_line(set_phase(name, -1e-300)) for name in ("duration_hours", "facility_kwh", "co2e_kg")),
     *(edited_line(set_phase("co2e_kg", value)) for value in (float("nan"), True, "1.0", None)),
+    edited_line(set_phase("phase_name", 5)),
     edited_line(lambda d: d["phase_breakdown"][1].pop("phase_name")),
     edited_line(set_phase("extra", 1)),
     edited_line(lambda d: d["phase_breakdown"].append([["phase_name", "x"]])),
-    *(edited_line(lambda d, v=value: d.update(phase_breakdown=v)) for value in ({}, "ab", None)),
-    *(edited_line(lambda d, v=value: d.update(quality_notes=v)) for value in ("ab", {}, None)),
-    *(edited_line(lambda d, v=value: d.update(v=v)) for value in (1.0, True, 2, "1", None)),
+    *(edited_line(set_field("phase_breakdown", value)) for value in ({}, "ab", "", None)),
+    *(edited_line(set_field("quality_notes", value)) for value in ("ab", {}, None, ["a", 1])),
+    *(edited_line(set_field("v", value)) for value in (1.0, True, 2, "1", None)),
+    *(edited_line(set_field(name, value)) for name in ("label", "region") for value in (5, None)),
+    *(edited_line(set_field("duration_hours", value)) for value in ("x", True, None, 2, float("inf"))),
+    *(edited_line(set_field("energy_kwh", value)) for value in (None, [1.0])),
+    *(edited_line(set_field("epochs_completed", value)) for value in (1.0, True, "3")),
     *(edited_line(lambda d, k=key: d.pop(k)) for key in ("v", "label", "phase_breakdown", "quality_notes")),
     edited_line(lambda d: d.update(surprise=1)),
     json.dumps(list(make_record("pairs").to_dict().items())).encode(),
@@ -389,17 +451,23 @@ def test_scan_ledger_accepts_and_rejects_what_from_dict_does(lines, final_newlin
             if isinstance(verdict, str):
                 assert isinstance(parsed, LedgerParseError)
                 assert (parsed.path, parsed.line_no) == (str(path), line_no)
-                assert parsed.reason.startswith(verdict)
+                if verdict == REJECTED:
+                    with pytest.raises(ValueError) as caught:
+                        ExperimentRecord.from_dict(json.loads(raw))
+                    assert parsed.reason == str(caught.value)
+                else:
+                    assert parsed.reason.startswith(verdict)
             else:
-                assert not isinstance(parsed, LedgerParseError)
-                record = parsed if isinstance(parsed, ExperimentRecord) else ExperimentRecord.from_dict(parsed)
+                assert type(parsed) is dict
+                record = ExperimentRecord.from_dict(verdict)
                 # compared as canonical JSON, where a NaN figure equals itself
-                assert canonical(record) == canonical(verdict)
+                assert canonical(ExperimentRecord.from_dict(parsed)) == canonical(record)
                 (reported,) = json.loads(render_stored([(raw, parsed)], "json"))
-                assert json.dumps(reported, sort_keys=True) == canonical(verdict)
+                assert json.dumps(reported, sort_keys=True) == canonical(record)
         first_bad = next((v for v in expected if isinstance(v[1], str)), None)
         if first_bad is None:
-            assert [canonical(r) for r in read_records(path)] == [canonical(v) for _, v in expected]
+            records = [ExperimentRecord.from_dict(v) for _, v in expected]
+            assert [canonical(r) for r in read_records(path)] == [canonical(r) for r in records]
         else:
             with pytest.raises(LedgerParseError) as caught:
                 read_records(path)
@@ -445,16 +513,12 @@ def test_json_report_of_appended_ledger_is_byte_identical_to_re_encoding(records
 
 def test_hand_edited_lines_report_as_loads_equal_ascii(tmp_path):
     path = tmp_path / "ledger.jsonl"
-    labels = ["spaced", "λ-edited", "no-optional-keys", "float-v", "cr-separated"]
+    labels = ["spaced", "λ-edited", "cr-separated"]
     records = [make_record(label) for label in labels]
     objects = [r.to_dict() for r in records]
-    objects[2].pop("phase_breakdown")
-    objects[2].pop("quality_notes")
-    objects[3]["v"] = 1.0
     spaced = json.dumps(dict(reversed(objects[0].items())), separators=(" ,  ", " :  "))
     lines = [f"  {spaced}\t", json.dumps(objects[1], ensure_ascii=False, indent=None)]
-    lines += [json.dumps(obj) for obj in objects[2:4]]
-    lines.append(json.dumps(objects[4], separators=(", ", ":\r")))
+    lines.append(json.dumps(objects[2], separators=(", ", ":\r")))
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     stored, errors = read_ledger(path)
     assert errors == []
