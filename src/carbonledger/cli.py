@@ -27,6 +27,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import uuid
 from pathlib import Path
 
@@ -223,13 +224,24 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
             f"for {early.planned_epochs} planned epochs"
         )
 
+    # The waiter reaps the child and wakes the sampler's pause at once. It
+    # holds the child's waitpid lock meanwhile, so send_signal's poll()
+    # returns None and a forwarded signal is still sent.
+    exited = threading.Event()
+
+    def reap() -> None:
+        child.wait()
+        exited.set()
+
+    threading.Thread(target=reap, name="carbonledger-reap", daemon=True).start()
     try:
         log = run_sampler(
             probes,
             interval_ms,
             events_path,
-            stop_condition=lambda: child.poll() is not None,
+            stop_condition=exited.is_set,
             on_tick=maybe_forecast,
+            wait=exited.wait,
         )
     finally:
         for signum, handler in previous_handlers.items():

@@ -8,18 +8,20 @@ unterminated line (a torn write), the append first writes the missing LF,
 so the new record gets a line of its own and the torn line stays where it
 is, for readers to report.
 
-A ledger line is a record exactly when its object is what
+A ledger line is a record exactly when its object has the form
 ``append_record`` writes, in any key order, spacing or escaping: every
 record key plus ``v``, the integer 1; each field of its annotated type (a
 float field holds a number, never a boolean); a list of strings for
 ``quality_notes``; and a list of phases, each with exactly the phase keys,
 each of its type, and figures not below 0. :func:`check_ledger_object` is
 that rule; ``ExperimentRecord.from_dict`` and :func:`scan_ledger`, the one
-streaming parser, both apply it. The parser keeps each line as its ledger
-object, a dict, so a report builds no ``PhaseSummary``. ``read_records``
-raises on the first bad line; ``read_ledger`` keeps every readable line
-and the error of every bad one, so one torn line does not hide the rest
-of the ledger from a report.
+streaming parser, both apply it. ``append_record`` also writes only finite
+figures and an epoch count not below 0 (``ExperimentRecord.validate``);
+the read rule does not yet ask that of a stored line. The parser keeps
+each line as its ledger object, a dict, so a report builds no
+``PhaseSummary``. ``read_records`` raises on the first bad line;
+``read_ledger`` keeps every readable line and the error of every bad one,
+so one torn line does not hide the rest of the ledger from a report.
 
 The text report mirrors the classic efficiency-reporting table: hours to
 three decimals, kWh and kg to two, km to two. CSV and JSON renderings
@@ -75,7 +77,16 @@ class ExperimentRecord:
     quality_notes: tuple[str, ...] = ()
 
     def validate(self) -> None:
-        """Raise InconsistentRecord when stored figures break the formulas."""
+        """Raise InconsistentRecord when a figure is not finite, the epoch
+        count is negative, or stored figures break the formulas."""
+        for name in _RECORD_FIGURES:
+            if not math.isfinite(getattr(self, name)):
+                raise InconsistentRecord(f"{name} {getattr(self, name)} is not finite")
+        for p in self.phase_breakdown:
+            if not all(math.isfinite(getattr(p, name)) for name in _PHASE_FIGURES):
+                raise InconsistentRecord(f"phase {p.phase_name!r} holds a figure that is not finite")
+        if self.epochs_completed < 0:
+            raise InconsistentRecord(f"epochs_completed {self.epochs_completed} is negative")
         expected_kg = carbon.co2e(self.energy_kwh, self.intensity_g_per_kwh)
         if not math.isclose(self.co2e_kg, expected_kg, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-12):
             raise InconsistentRecord(
@@ -109,40 +120,40 @@ class ExperimentRecord:
 
 _RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 _PHASE_FIELDS = tuple(f.name for f in fields(PhaseSummary))
+_RECORD_FIGURES = tuple(f.name for f in fields(ExperimentRecord) if f.type == "float")
+_PHASE_FIGURES = ("duration_hours", "facility_kwh", "co2e_kg")
 
 
-def append_record(ledger_path: str | Path, record: ExperimentRecord) -> int:
-    """Validate and append one record; returns its 1-based line position.
+def append_record(ledger_path: str | Path, record: ExperimentRecord) -> None:
+    """Validate and append one record, at a cost that does not grow with
+    the ledger: only its last byte is read.
 
     An unterminated last line is ended with LF first, never rewritten, so
     the record gets its own line and the torn line keeps its number.
     """
     record.validate()
-    line = (json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+    document = json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False, allow_nan=False)
+    line = (document + "\n").encode("utf-8")
     path = Path(ledger_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
-            # Counted as bytes in chunks: a ledger line torn inside a UTF-8
-            # character cannot fail the count, and the ledger is not held in memory.
-            fh.seek(0)
-            lines, last = 0, b"\n"
-            while chunk := fh.read(1 << 16):
-                lines += chunk.count(b"\n")
-                last = chunk[-1:]
-            if last != b"\n":
-                line = b"\n" + line
+            # read under the lock, so no other append lands between the
+            # check and the write; "a" mode writes at the end wherever we read
+            end = fh.seek(0, io.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
             fh.write(line)
             fh.flush()
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    return lines + line.count(b"\n")
 
 
 _LEDGER_KEYS = frozenset(_RECORD_FIELDS) | {"v"}
 _PHASE_KEYS = frozenset(_PHASE_FIELDS)
-_PHASE_FIGURES = ("duration_hours", "facility_kwh", "co2e_kg")
 # compared with type(), so a boolean is not a number
 _NUMBER = (float, int)
 # every record field but the phases and the notes, by its annotated type:

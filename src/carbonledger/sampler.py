@@ -60,7 +60,8 @@ from .probe import Probe, PowerSample, ProbeKind
 EVENTS_ENV = "CARBONLEDGER_EVENTS"
 
 # Poll the event file at least this often even when the sampling interval
-# is long, so child exit is noticed promptly.
+# is long: this bounds how late an EPOCH_END, and so the epoch-1 forecast,
+# is seen. The stop itself is seen at once when the pause wakes on it.
 _MAX_POLL_S = 0.1
 
 _TIMESTAMP = attrgetter("timestamp_ms")
@@ -335,14 +336,20 @@ def run_sampler(
     event_stream_path: str | Path,
     stop_condition: Callable[[], bool],
     on_tick: Callable[[SampleLog], None] | None = None,
+    wait: Callable[[float], object] | None = None,
 ) -> SampleLog:
     """Drive sampling until ``stop_condition`` returns True.
 
     Replay probes are drained in full up front; hardware probes are read
     once per interval, on a grid fixed at the first read, and a read that
     runs late skips the slots it missed rather than bursting. The event
-    file is polled at least every 100 ms so a fast child is not held
-    hostage by a long sampling interval.
+    file is polled at least every 100 ms, so an epoch's end is seen within
+    that even under a long sampling interval.
+    Between polls the loop pauses with ``wait(seconds)``, ``time.sleep``
+    when not given. A ``wait`` that returns as soon as ``stop_condition``
+    turns true, such as the ``wait`` of the ``threading.Event`` whose
+    ``is_set`` is the stop condition, ends the loop at once rather than
+    after the pause.
     ``on_tick``, when given, receives a snapshot log after every poll that
     admitted an EPOCH_END (used for live forecasting). An unterminated
     last event line is parsed once ``stop_condition`` is true.
@@ -389,6 +396,8 @@ def run_sampler(
             series, tuple(tail.events), interval_ms, tail.violations, tuple(warnings), metrics, tail.metric_lines
         )
 
+    # resolved per call, so a replaced module clock is the one that sleeps
+    pause_for = wait or time.sleep
     interval_s = interval_ms / 1000.0
     first_hw_read = next_hw_read = time.monotonic()
     hw_slot = 0
@@ -408,7 +417,7 @@ def run_sampler(
         pause = min(interval_s, _MAX_POLL_S)
         if hardware:
             pause = min(pause, max(next_hw_read - time.monotonic(), 0.0))
-        time.sleep(pause)
+        pause_for(pause)
     # Final read per source, then whatever the child wrote last.
     for probe in hardware:
         _record(columns, probe.read() or ())

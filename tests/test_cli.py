@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,21 @@ def test_run_started_at_is_stamped_before_the_child_runs(tmp_path):
     # started_at keeps whole seconds, so a stamp taken after the 2 s child
     # would trail the return by less than 1 s plus the bookkeeping time
     assert (returned - started).total_seconds() > 1.5
+
+
+def test_run_notices_the_child_exit_at_once(tmp_path, monkeypatch):
+    # With a 60 s interval and a 30 s poll bound, a tracker that sleeps
+    # out its pause would take 30 s to see that `true` has exited.
+    from carbonledger import sampler as sampler_mod
+
+    monkeypatch.setattr(sampler_mod, "_MAX_POLL_S", 30.0)
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = tmp_path / "ledger.jsonl"
+    args = ["run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--interval-ms", "60000"]
+    started = time.monotonic()
+    assert main([*args, "--events", str(tmp_path / "e.log"), "--", "true"]) == 0
+    assert time.monotonic() - started < 5.0
+    assert len(read_records(ledger_path)) == 1
 
 
 def test_run_appends_past_a_line_torn_inside_a_character(tmp_path, capsys):

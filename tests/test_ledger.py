@@ -33,7 +33,8 @@ from goldens import GOLDEN_ROWS
 def test_append_round_trip(tmp_path):
     path = tmp_path / "ledger.jsonl"
     record = make_record()
-    assert append_record(path, record) == 1
+    assert append_record(path, record) is None
+    assert [(line_no, data) for line_no, _, data in scan_ledger(path)] == [(1, record.to_dict())]
     assert read_records(path) == [record]
 
 
@@ -43,7 +44,8 @@ def test_append_preserves_order_and_prior_bytes(tmp_path):
     append_record(path, first)
     snapshot = path.read_bytes()
     second = make_record("two")
-    assert append_record(path, second) == 2
+    append_record(path, second)
+    assert [line_no for line_no, _, _ in scan_ledger(path)] == [1, 2]
     assert path.read_bytes().startswith(snapshot)
     assert [r.label for r in read_records(path)] == ["one", "two"]
 
@@ -76,6 +78,24 @@ def test_duration_shorter_than_phases_rejected(tmp_path):
     )
     with pytest.raises(InconsistentRecord):
         append_record(tmp_path / "ledger.jsonl", record)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"hours": float("nan")},
+        {"hours": float("inf")},
+        {"epochs_completed": -3},
+        {"phase_breakdown": (PhaseSummary("epoch 1", 0.5, float("nan"), 0.0),)},
+    ],
+)
+def test_non_finite_figure_or_negative_epoch_count_rejected(tmp_path, overrides):
+    path = tmp_path / "ledger.jsonl"
+    append_record(path, make_record("first"))
+    before = path.read_bytes()
+    with pytest.raises(InconsistentRecord):
+        append_record(path, make_record(**overrides))
+    assert path.read_bytes() == before
 
 
 def test_text_report_reproduces_golden_table():
@@ -199,7 +219,9 @@ def test_append_after_torn_unterminated_line_starts_a_new_line(tmp_path):
     path.write_bytes(path.read_bytes()[:-1])  # the torn line loses its LF too
     before = path.read_bytes()
     record = make_record("third")
-    assert append_record(path, record) == 3
+    append_record(path, record)
+    line_no, _, parsed = list(scan_ledger(path))[-1]
+    assert (line_no, parsed) == (3, record.to_dict())
     data = path.read_bytes()
     assert data.startswith(before)
     assert data.count(b"\n") == 3
@@ -291,7 +313,7 @@ def is_phase(phase) -> bool:
     if not isinstance(phase, dict) or set(phase) != PHASE_KEYS or not isinstance(phase["phase_name"], str):
         return False
     figures = [phase["duration_hours"], phase["facility_kwh"], phase["co2e_kg"]]
-    # not below 0; a NaN is not, and append_record writes what a record holds
+    # not below 0; a NaN is not, so the read rule takes one (append_record writes none)
     return all(is_number(x) and not x < 0 for x in figures)
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -569,16 +571,31 @@ def test_run_sampler_reads_hardware_on_a_fixed_grid(tmp_path, monkeypatch):
     from carbonledger.probe import ProbeDescriptor, ProbeKind, open_probe
 
     clock = {"now": 1000.0}
+    # A loop that stops advancing the fake clock (a pause that bypasses
+    # sampler.time) fails here instead of hanging: every loop turn reads it,
+    # and a run that pauses on sampler.time makes under 100 calls.
+    budget = {"calls": 1_000}
+
+    def spend() -> None:
+        budget["calls"] -= 1
+        if budget["calls"] < 0:
+            raise RuntimeError("fake clock call budget spent: the loop is not pausing on sampler.time")
+
+    def monotonic() -> float:
+        spend()
+        return clock["now"]
 
     def sleep(seconds: float) -> None:
+        spend()
         assert seconds >= 0.0
         clock["now"] += seconds
 
-    fake_time = SimpleNamespace(monotonic=lambda: clock["now"], sleep=sleep, time_ns=lambda: 0)
+    fake_time = SimpleNamespace(monotonic=monotonic, sleep=sleep, time_ns=lambda: 0)
     monkeypatch.setattr(sampler_mod, "time", fake_time)
     read_at = []
 
     def reader(index: int) -> float:
+        spend()
         read_at.append(clock["now"])
         clock["now"] += 0.625 if len(read_at) == 3 else 0.0625
         return 50.0
@@ -589,6 +606,28 @@ def test_run_sampler_reads_hardware_on_a_fixed_grid(tmp_path, monkeypatch):
     in_loop = read_at[:-1]  # the last read is the final one, made at stop time
     slots = [(t - 1000.0) / 0.25 for t in in_loop]
     assert slots == [0, 1, 2, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
+def test_run_sampler_wakes_when_its_wait_returns(tmp_path, monkeypatch):
+    # With a 30 s poll bound, only a wait that wakes on the stop ends the
+    # loop in time.
+    from carbonledger import sampler as sampler_mod
+
+    monkeypatch.setattr(sampler_mod, "_MAX_POLL_S", 30.0)
+    trace = write_trace(tmp_path / "t.csv", [(0, 10.0), (1000, 10.0)])
+    events = write_events(tmp_path / "e.log", MINIMAL_RUN)
+    stopped = threading.Event()
+    timer = threading.Timer(0.05, stopped.set)
+    started = time.monotonic()
+    timer.start()
+    try:
+        log = run_sampler([replay_probe(trace)], 60_000, events, stop_condition=stopped.is_set, wait=stopped.wait)
+    finally:
+        timer.cancel()
+        timer.join(5.0)
+    assert time.monotonic() - started < 5.0
+    assert not timer.is_alive()
+    assert log.epochs_completed() == 1
 
 
 def test_run_sampler_rejects_non_positive_interval(tmp_path):
