@@ -13,6 +13,7 @@ Registry file format: CSV, UTF-8, LF, columns
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +36,8 @@ class CarbonIntensity:
     as_of: datetime.date | None = None
 
     def __post_init__(self) -> None:
-        if self.grams_per_kwh <= 0:
-            raise ValueError("grams_per_kwh must be > 0")
+        if not 0 < self.grams_per_kwh < math.inf:
+            raise ValueError(f"grams_per_kwh must be finite and > 0, not {self.grams_per_kwh}")
 
 
 #: Annual grid average for Germany, the only figure shipped built in;
@@ -60,8 +61,8 @@ class EmissionsReport:
 def _grams(intensity: CarbonIntensity | float) -> float:
     if isinstance(intensity, CarbonIntensity):
         return intensity.grams_per_kwh
-    if intensity <= 0:
-        raise ValueError("intensity must be > 0")
+    if not 0 < intensity < math.inf:
+        raise ValueError(f"intensity must be finite and > 0, not {intensity}")
     return float(intensity)
 
 

@@ -59,11 +59,11 @@ class EpochIndexRegression(CarbonLedgerError):
 
 
 class LedgerParseError(FileLineError):
-    """A ledger line is torn, has unknown keys or an unknown schema version."""
+    """A ledger line is torn, not UTF-8 or not JSON, or breaks the one record rule."""
 
 
 class InconsistentRecord(CarbonLedgerError):
-    """An experiment record fails its internal consistency checks."""
+    """append_record refused a record that breaks the one record rule."""
 
 
 class EmptySelection(CarbonLedgerError):

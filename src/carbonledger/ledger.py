@@ -8,18 +8,20 @@ unterminated line (a torn write), the append first writes the missing LF,
 so the new record gets a line of its own and the torn line stays where it
 is, for readers to report.
 
-A ledger line is a record exactly when its object has the form
-``append_record`` writes, in any key order, spacing or escaping: every
+One rule, :func:`check_ledger_object`, defines a record, and both sides
+apply it: ``append_record`` to ``to_dict()``, writing nothing it refuses,
+and :func:`scan_ledger`, the one streaming parser, to each stored line's
+object, in any key order, spacing or escaping. The object holds every
 record key plus ``v``, the integer 1; each field of its annotated type (a
 float field holds a number, never a boolean); a list of strings for
-``quality_notes``; and a list of phases, each with exactly the phase keys,
-each of its type, and figures not below 0. :func:`check_ledger_object` is
-that rule; ``ExperimentRecord.from_dict`` and :func:`scan_ledger`, the one
-streaming parser, both apply it. ``append_record`` also writes only finite
-figures and an epoch count not below 0 (``ExperimentRecord.validate``);
-the read rule does not yet ask that of a stored line. The parser keeps
-each line as its ledger object, a dict, so a report builds no
-``PhaseSummary``. ``read_records`` raises on the first bad line;
+``quality_notes``; and a list of phases, each with exactly the phase keys.
+Every figure is finite (within ``sys.float_info.max``: no NaN, ±inf or
+integer too large for a float) and >= 0; ``pue`` is >= 1, intensity and
+car factor > 0. Within ``_CONSISTENCY_RTOL``, ``co2e_kg`` (a phase's too)
+is its kWh x intensity / 1000 and ``car_km`` is ``co2e_kg`` / car factor;
+``duration_hours`` covers the phases' total, less ``_PHASE_OVERLAP_TOL``.
+The parser keeps each line as its ledger object, a dict, so a report
+builds no ``PhaseSummary``. ``read_records`` raises on the first bad line;
 ``read_ledger`` keeps every readable line and the error of every bad one,
 so one torn line does not hide the rest of the ledger from a report.
 
@@ -41,6 +43,7 @@ import fcntl
 import io
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -76,31 +79,6 @@ class ExperimentRecord:
     phase_breakdown: tuple[PhaseSummary, ...] = ()
     quality_notes: tuple[str, ...] = ()
 
-    def validate(self) -> None:
-        """Raise InconsistentRecord when a figure is not finite, the epoch
-        count is negative, or stored figures break the formulas."""
-        for name in _RECORD_FIGURES:
-            if not math.isfinite(getattr(self, name)):
-                raise InconsistentRecord(f"{name} {getattr(self, name)} is not finite")
-        for p in self.phase_breakdown:
-            if not all(math.isfinite(getattr(p, name)) for name in _PHASE_FIGURES):
-                raise InconsistentRecord(f"phase {p.phase_name!r} holds a figure that is not finite")
-        if self.epochs_completed < 0:
-            raise InconsistentRecord(f"epochs_completed {self.epochs_completed} is negative")
-        expected_kg = carbon.co2e(self.energy_kwh, self.intensity_g_per_kwh)
-        if not math.isclose(self.co2e_kg, expected_kg, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-12):
-            raise InconsistentRecord(
-                f"co2e_kg {self.co2e_kg} inconsistent with energy x intensity ({expected_kg})"
-            )
-        expected_km = carbon.car_km_equivalent(self.co2e_kg, self.car_factor_kg_per_km)
-        if not math.isclose(self.car_km, expected_km, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-12):
-            raise InconsistentRecord(f"car_km {self.car_km} inconsistent with factor ({expected_km})")
-        phase_total = math.fsum(p.duration_hours for p in self.phase_breakdown)
-        if self.duration_hours < phase_total - _PHASE_OVERLAP_TOL:
-            raise InconsistentRecord(
-                f"duration {self.duration_hours} h shorter than phase total {phase_total} h"
-            )
-
     def to_dict(self) -> dict:
         """The record as its ledger object: plain dicts, lists and ``v``."""
         data = {name: getattr(self, name) for name in _RECORD_FIELDS}
@@ -120,19 +98,23 @@ class ExperimentRecord:
 
 _RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 _PHASE_FIELDS = tuple(f.name for f in fields(PhaseSummary))
-_RECORD_FIGURES = tuple(f.name for f in fields(ExperimentRecord) if f.type == "float")
 _PHASE_FIGURES = ("duration_hours", "facility_kwh", "co2e_kg")
 
 
 def append_record(ledger_path: str | Path, record: ExperimentRecord) -> None:
-    """Validate and append one record, at a cost that does not grow with
+    """Append one record, or raise InconsistentRecord with the reason
+    check_ledger_object gives for refusing it. The cost does not grow with
     the ledger: only its last byte is read.
 
     An unterminated last line is ended with LF first, never rewritten, so
     the record gets its own line and the torn line keeps its number.
     """
-    record.validate()
-    document = json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False, allow_nan=False)
+    data = record.to_dict()
+    try:
+        check_ledger_object(data)
+    except ValueError as exc:
+        raise InconsistentRecord(str(exc)) from None
+    document = json.dumps(data, sort_keys=True, ensure_ascii=False, allow_nan=False)
     line = (document + "\n").encode("utf-8")
     path = Path(ledger_path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -160,12 +142,14 @@ _NUMBER = (float, int)
 # the types json.loads may give its value, and what the value must be
 _JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"), "float": (_NUMBER, "a number")}
 _RECORD_SCALARS = [(f.name, *_JSON_TYPES[f.type]) for f in fields(ExperimentRecord) if f.type in _JSON_TYPES]
+# a figure is finite when it lies in [-_MAX, _MAX]; NaN, inf and integers too large for a float do not
+_MAX = sys.float_info.max
 
 
 def check_ledger_object(data) -> None:
     """Raise ValueError, naming the key or field at fault, unless ``data``
-    (as json.loads gives it) is a ledger object in the one form
-    append_record writes; the module docstring states the rule."""
+    (as json.loads gives it) keeps the one record rule that append_record
+    and scan_ledger both apply; the module docstring states the rule."""
     if type(data) is not dict:
         raise ValueError("not a JSON object")
     version = data.get("v")
@@ -177,14 +161,24 @@ def check_ledger_object(data) -> None:
             raise ValueError(f"unknown key {min(unknown)!r}")
         raise ValueError(f"missing key {min(_LEDGER_KEYS - data.keys())!r}")
     for name, types, kind in _RECORD_SCALARS:
-        if type(data[name]) not in types:
+        value = data[name]
+        if type(value) not in types:
             raise ValueError(f"{name} must be {kind}")
+        if str not in types and not 0 <= value <= _MAX:
+            raise ValueError(f"{name} must be a finite number >= 0")
+    if data["pue"] < 1:
+        raise ValueError("pue must be >= 1")
+    for name in ("intensity_g_per_kwh", "car_factor_kg_per_km"):
+        if data[name] == 0:
+            raise ValueError(f"{name} must be > 0")
     notes = data["quality_notes"]
     if type(notes) is not list or not all(type(note) is str for note in notes):
         raise ValueError("quality_notes must be a list of strings")
     phases = data["phase_breakdown"]
     if type(phases) is not list:
         raise ValueError("phase_breakdown must be a list")
+    grams = data["intensity_g_per_kwh"]
+    phase_hours = 0.0
     for i, phase in enumerate(phases):
         if type(phase) is not dict or phase.keys() != _PHASE_KEYS:
             raise ValueError(f"phase_breakdown[{i}] must be an object with the keys {', '.join(_PHASE_FIELDS)}")
@@ -192,8 +186,20 @@ def check_ledger_object(data) -> None:
             raise ValueError(f"phase_breakdown[{i}].phase_name must be a string")
         for name in _PHASE_FIGURES:
             value = phase[name]
-            if type(value) not in _NUMBER or value < 0:
-                raise ValueError(f"phase_breakdown[{i}].{name} must be a number >= 0")
+            if type(value) not in _NUMBER or not 0 <= value <= _MAX:
+                raise ValueError(f"phase_breakdown[{i}].{name} must be a finite number >= 0")
+        kg, want = phase["co2e_kg"], carbon.co2e(phase["facility_kwh"], grams)
+        if not math.isclose(kg, want, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-12):
+            raise ValueError(f"phase_breakdown[{i}].co2e_kg {kg} inconsistent with facility_kwh x intensity ({want})")
+        phase_hours += phase["duration_hours"]
+    kg, want = data["co2e_kg"], carbon.co2e(data["energy_kwh"], grams)
+    if not math.isclose(kg, want, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-12):
+        raise ValueError(f"co2e_kg {kg} inconsistent with energy_kwh x intensity ({want})")
+    km, want = data["car_km"], carbon.car_km_equivalent(kg, data["car_factor_kg_per_km"])
+    if not math.isclose(km, want, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-12):
+        raise ValueError(f"car_km {km} inconsistent with co2e_kg / car_factor_kg_per_km ({want})")
+    if data["duration_hours"] < phase_hours - _PHASE_OVERLAP_TOL:
+        raise ValueError(f"duration_hours {data['duration_hours']} is shorter than the phase total {phase_hours}")
 
 
 def _record(data: dict) -> ExperimentRecord:

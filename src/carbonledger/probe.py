@@ -21,6 +21,7 @@ be handed between threads but never shared concurrently.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import subprocess
@@ -166,10 +167,11 @@ class HardwareProbe(Probe):
     """Wraps a per-device reader callable behind the probe interface.
 
     The reader maps a device index to instantaneous watts and may raise
-    TransientReadFailure; failed devices are skipped for that read and
-    counted in ``skipped_reads``. Timestamps come from the wall clock and
-    are bumped by 1 ms if two reads land in the same millisecond, so one
-    source never emits non-increasing timestamps.
+    TransientReadFailure. A failed read, and a reading that is negative,
+    NaN or infinite, is skipped and counted in ``skipped_reads``.
+    Timestamps come from the wall clock and are bumped by 1 ms if two
+    reads land in the same millisecond, so one source never emits
+    non-increasing timestamps.
     """
 
     def __init__(self, descriptor: ProbeDescriptor, reader: Callable[[int], float]):
@@ -183,6 +185,8 @@ class HardwareProbe(Probe):
             try:
                 watts = self._reader(index)
             except TransientReadFailure:
+                watts = math.nan  # skipped below, as a reading out of range is
+            if not 0 <= watts < math.inf:
                 self.skipped_reads += 1
                 continue
             ts = time.time_ns() // 1_000_000

@@ -145,6 +145,24 @@ def test_registry_malformed_row_reports_line_number(tmp_path):
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize("grams", ["nan", "inf", "-inf"])
+def test_registry_non_finite_intensity_names_file_and_line(tmp_path, grams):
+    path = tmp_path / "registry.csv"
+    path.write_text(f"DE,380,a,2022-01-01\nZZ,{grams},x,2024-01-01\n", encoding="utf-8")
+    with pytest.raises(RegistryParseError) as err:
+        load_intensity_registry(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 2)
+    assert "finite" in err.value.reason
+
+
+@pytest.mark.parametrize("grams", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_intensity_rejected(grams):
+    with pytest.raises(ValueError):
+        CarbonIntensity("XX", grams)
+    with pytest.raises(ValueError):
+        co2e(1.0, grams)
+
+
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         co2e(-1.0, 380.0)

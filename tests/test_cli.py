@@ -136,6 +136,15 @@ def test_run_malformed_config_exits_two(tmp_path, capsys, text, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grams", ["nan", "inf", "-inf"])
+def test_run_refuses_a_non_finite_registry_intensity_before_spawning(tmp_path, capsys, grams):
+    registry = tmp_path / "registry.csv"
+    registry.write_text(f"FR,60,ember,2024-01-01\nZZ,{grams},x,2024-01-01\n", encoding="utf-8")
+    assert rejected_before_spawn(tmp_path, ["--registry", str(registry), "--region", "ZZ"])
+    assert f"{registry}:2: " in capsys.readouterr().err
+    assert main(["regions", "--registry", str(registry)]) == 2
+
+
 def test_run_removes_its_temporary_event_file(tmp_path, monkeypatch):
     scratch = tmp_path / "tmp"
     scratch.mkdir()

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
+import math
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from carbonledger import carbon
+from carbonledger.cli import main
 from carbonledger.errors import EmptySelection, InconsistentRecord, LedgerParseError, UnknownBaseline
 from carbonledger.forecast import PhaseSummary
 from carbonledger.ledger import (
@@ -242,30 +248,41 @@ def asdict_reference(record: ExperimentRecord) -> dict:
 
 
 _labels = st.one_of(st.sampled_from(["café", "λ", "plain"]), st.text(max_size=12))
-_floats = st.floats(allow_nan=False, allow_infinity=False)
-_non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+# magnitudes as wide as the formulas allow without overflow: a duration is
+# only summed, while kWh x intensity / car factor must stay a finite float
+_hours = st.floats(0.0, 1e300)
+_kwh = st.floats(0.0, 1e100)
+_factors = st.floats(1e-100, 1e100)
 
 
 @st.composite
 def ledger_records(draw) -> ExperimentRecord:
-    phases = tuple(
-        PhaseSummary(draw(_labels), draw(_non_negative), draw(_non_negative), draw(_non_negative))
-        for _ in range(draw(st.integers(0, 10)))
-    )
+    """A record that keeps the one rule: co2e_kg, car_km and each phase's
+    co2e_kg derived from the drawn energy, intensity and car factor, a
+    duration that covers the phases, and a pue of at least 1."""
+    grams, factor = draw(_factors), draw(_factors)
+    phases = []
+    phase_hours = 0.0
+    for _ in range(draw(st.integers(0, 10))):
+        kwh = draw(_kwh)
+        phases.append(PhaseSummary(draw(_labels), draw(_hours), kwh, carbon.co2e(kwh, grams)))
+        phase_hours += phases[-1].duration_hours  # a running total, as the rule sums it
+    kwh = draw(_kwh)
+    kg = carbon.co2e(kwh, grams)
     return ExperimentRecord(
         experiment_id=draw(st.text(max_size=12)),
         label=draw(_labels),
         started_at=draw(st.text(max_size=25)),
-        duration_hours=draw(_floats),
+        duration_hours=phase_hours + draw(_hours),
         epochs_completed=draw(st.integers(0, 10**6)),
-        energy_kwh=draw(_floats),
-        intensity_g_per_kwh=draw(_floats),
-        pue=draw(_floats),
-        co2e_kg=draw(_floats),
-        car_km=draw(_floats),
-        car_factor_kg_per_km=draw(_floats),
+        energy_kwh=kwh,
+        intensity_g_per_kwh=grams,
+        pue=draw(st.floats(1.0, 1e300)),
+        co2e_kg=kg,
+        car_km=carbon.car_km_equivalent(kg, factor),
+        car_factor_kg_per_km=factor,
         region=draw(_labels),
-        phase_breakdown=phases,
+        phase_breakdown=tuple(phases),
         quality_notes=tuple(draw(st.lists(_labels, max_size=3))),
     )
 
@@ -285,8 +302,8 @@ def test_json_report_is_one_ledger_object_per_line(records):
         assert json.loads(line.removesuffix(",")) == record.to_dict()
 
 
-# The one stored form, written out without the library: what append_record
-# writes, in any key order, spacing or escaping.
+# The one record rule, written out without the library: what append_record
+# writes and scan_ledger reads, in any key order, spacing or escaping.
 STRING_KEYS = ("experiment_id", "label", "started_at", "region")
 FIGURE_KEYS = (
     "duration_hours",
@@ -299,6 +316,7 @@ FIGURE_KEYS = (
 )
 LEDGER_KEYS = {*STRING_KEYS, *FIGURE_KEYS, "epochs_completed", "phase_breakdown", "quality_notes", "v"}
 PHASE_KEYS = {"phase_name", "duration_hours", "facility_kwh", "co2e_kg"}
+PHASE_FIGURES = ("duration_hours", "facility_kwh", "co2e_kg")
 
 
 def is_integer(value) -> bool:
@@ -309,28 +327,55 @@ def is_number(value) -> bool:
     return isinstance(value, float) or is_integer(value)
 
 
-def is_phase(phase) -> bool:
+def in_range(value, least, above: bool = False) -> bool:
+    """At least ``least`` (above it, with ``above``) and no larger than the
+    largest float; NaN is neither."""
+    return (value > least if above else value >= least) and value <= sys.float_info.max
+
+
+def close(stored, derived) -> bool:
+    return math.isclose(stored, derived, rel_tol=1e-6, abs_tol=1e-12)
+
+
+def is_phase(phase, grams: float) -> bool:
     if not isinstance(phase, dict) or set(phase) != PHASE_KEYS or not isinstance(phase["phase_name"], str):
         return False
-    figures = [phase["duration_hours"], phase["facility_kwh"], phase["co2e_kg"]]
-    # not below 0; a NaN is not, so the read rule takes one (append_record writes none)
-    return all(is_number(x) and not x < 0 for x in figures)
+    if not all(is_number(phase[key]) and in_range(phase[key], 0) for key in PHASE_FIGURES):
+        return False
+    return close(phase["co2e_kg"], phase["facility_kwh"] * grams / 1000)
 
 
 def is_stored_form(obj) -> bool:
     if not isinstance(obj, dict) or set(obj) != LEDGER_KEYS:
         return False
     notes, phases = obj["quality_notes"], obj["phase_breakdown"]
-    return (
+    typed = (
         is_integer(obj["v"])
         and obj["v"] == 1
         and all(isinstance(obj[key], str) for key in STRING_KEYS)
         and is_integer(obj["epochs_completed"])
+        and in_range(obj["epochs_completed"], 0)
         and all(is_number(obj[key]) for key in FIGURE_KEYS)
+        and all(in_range(obj[key], 0) for key in ("duration_hours", "energy_kwh", "co2e_kg", "car_km"))
+        and in_range(obj["pue"], 1)
+        and in_range(obj["intensity_g_per_kwh"], 0, above=True)
+        and in_range(obj["car_factor_kg_per_km"], 0, above=True)
         and isinstance(notes, list)
         and all(isinstance(note, str) for note in notes)
         and isinstance(phases, list)
-        and all(is_phase(phase) for phase in phases)
+    )
+    if not typed:
+        return False
+    grams = float(obj["intensity_g_per_kwh"])
+    if not all(is_phase(phase, grams) for phase in phases):
+        return False
+    phase_hours = 0.0
+    for phase in phases:  # summed in order, as a running total
+        phase_hours += phase["duration_hours"]
+    return (
+        close(obj["co2e_kg"], obj["energy_kwh"] * grams / 1000)
+        and close(obj["car_km"], obj["co2e_kg"] / obj["car_factor_kg_per_km"])
+        and obj["duration_hours"] >= phase_hours - 1e-6
     )
 
 
@@ -365,10 +410,11 @@ def canonical(record: ExperimentRecord) -> str:
 
 # deep-copied, so a mutation of one example never leaks into the next
 _odd_values = st.sampled_from(
-    [-1.0, -1e-300, 0.0, float("nan"), 2, 1.5, "1.0", "ab", "", None, True, [], {}, [["a", 1]], ["a", 1]]
+    [-1.0, -1e-300, 0.0, math.nan, math.inf, -math.inf, 10**400, 2, 1.5]
+    + ["1.0", "ab", "", None, True, [], {}, [["a", 1]], ["a", 1]]
 )
 _odd_values = _odd_values.map(copy.deepcopy)
-_RETYPED = ("phase_breakdown", "quality_notes", "label", "energy_kwh", "epochs_completed")
+_RETYPED = ("phase_breakdown", "quality_notes", "label", "energy_kwh", "epochs_completed", "pue", "duration_hours")
 
 
 @st.composite
@@ -433,10 +479,28 @@ def set_field(name, value):
     return lambda data: data.__setitem__(name, value)
 
 
-# One line per check of the stored form, and per quirk an earlier, lenient
+def raw_figure(setter, name, text: str) -> bytes:
+    """A line whose figure ``name``, set by ``setter``, is the JSON number ``text`` as written."""
+    return edited_line(setter(name, "<figure>")).replace(b'"<figure>"', text.encode())
+
+
+# NaN, infinities, a float and an integer too large for a float, and a negative number
+FIGURE_TEXTS = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-1")
+
+# One line per check of the record rule, and per quirk an earlier, lenient
 # reader accepted (a list of pairs, notes "ab", phases {}, v 1.0 or true, a
-# missing phase_breakdown or quality_notes)
+# missing phase_breakdown or quality_notes, a NaN or an infinite figure, a
+# figure that breaks a formula)
 EDGE_LINES = [
+    *(raw_figure(set_field, name, text) for name in (*FIGURE_KEYS, "epochs_completed") for text in FIGURE_TEXTS),
+    *(raw_figure(set_phase, name, text) for name in PHASE_FIGURES for text in FIGURE_TEXTS),
+    edited_line(set_field("co2e_kg", 99.0)),
+    edited_line(lambda d: d.update(co2e_kg=d["co2e_kg"] * (1 + 1e-9))),  # within the tolerance
+    edited_line(lambda d: d.update(car_km=d["car_km"] + 0.5)),
+    edited_line(set_phase("co2e_kg", 1.0)),
+    edited_line(set_field("duration_hours", 0.1)),  # the phases take 1/3 h
+    *(edited_line(set_field(name, 0)) for name in ("intensity_g_per_kwh", "car_factor_kg_per_km")),
+    edited_line(set_field("pue", 0.99)),
     *(edited_line(set_phase(name, -1e-300)) for name in ("duration_hours", "facility_kwh", "co2e_kg")),
     *(edited_line(set_phase("co2e_kg", value)) for value in (float("nan"), True, "1.0", None)),
     edited_line(set_phase("phase_name", 5)),
@@ -459,6 +523,7 @@ EDGE_LINES = [
 @settings(max_examples=300, deadline=None)
 @given(st.lists(ledger_lines(), max_size=6), st.booleans())
 @example(EDGE_LINES, True)
+@example([b"\x0b0"], False)  # a vertical tab, which str.strip() removes but JSON does not skip
 def test_scan_ledger_accepts_and_rejects_what_from_dict_does(lines, final_newline):
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
     with tempfile.TemporaryDirectory() as tmp:
@@ -475,14 +540,15 @@ def test_scan_ledger_accepts_and_rejects_what_from_dict_does(lines, final_newlin
                 assert (parsed.path, parsed.line_no) == (str(path), line_no)
                 if verdict == REJECTED:
                     with pytest.raises(ValueError) as caught:
-                        ExperimentRecord.from_dict(json.loads(raw))
+                        # parsed as scan_ledger parses it: stripped of any Unicode whitespace
+                        ExperimentRecord.from_dict(json.loads(raw.decode("utf-8").strip()))
                     assert parsed.reason == str(caught.value)
                 else:
                     assert parsed.reason.startswith(verdict)
             else:
                 assert type(parsed) is dict
                 record = ExperimentRecord.from_dict(verdict)
-                # compared as canonical JSON, where a NaN figure equals itself
+                # compared as canonical JSON, where 1 and 1.0, or 0.0 and -0.0, differ
                 assert canonical(ExperimentRecord.from_dict(parsed)) == canonical(record)
                 (reported,) = json.loads(render_stored([(raw, parsed)], "json"))
                 assert json.dumps(reported, sort_keys=True) == canonical(record)
@@ -494,6 +560,91 @@ def test_scan_ledger_accepts_and_rejects_what_from_dict_does(lines, final_newlin
             with pytest.raises(LedgerParseError) as caught:
                 read_records(path)
             assert caught.value.line_no == first_bad[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ledger_lines(), max_size=6), st.booleans())
+@example(EDGE_LINES, True)
+def test_report_over_any_ledger_lines_exits_0_or_2_and_names_every_bad_line(lines, final_newline):
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    expected = reference_scan(data)
+    bad = [line_no for line_no, verdict in expected if isinstance(verdict, str)]
+    labels = [verdict["label"] for _, verdict in expected if not isinstance(verdict, str)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        path.write_bytes(data)
+        for fmt in ("text", "csv", "json"):
+            out, err = Path(tmp) / f"report.{fmt}", io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["report", "--ledger", str(path), "--format", fmt, "--out", str(out)])
+            assert code == (2 if bad or not labels else 0)
+            prefix = f"{path}:"
+            named = [line.removeprefix(prefix).split(":")[0] for line in err.getvalue().splitlines()]
+            assert [int(n) for n in named if n.isdigit()] == bad
+            if not labels:
+                assert "no records to report" in err.getvalue() and not out.exists()
+            elif fmt == "json":
+                assert [r["label"] for r in json.loads(out.read_text(encoding="utf-8"))] == labels
+
+
+FIGURE_NAMES = (*FIGURE_KEYS, "epochs_completed", *(f"phase.{name}" for name in PHASE_FIGURES))
+
+
+def set_figure(record: ExperimentRecord, name: str, value) -> ExperimentRecord:
+    """``record`` with one figure set; ``phase.<key>`` names one of its last
+    phase's, set past PhaseSummary's own check."""
+    if not name.startswith("phase."):
+        return dataclasses.replace(record, **{name: value})
+    phase = copy.copy(record.phase_breakdown[-1])
+    object.__setattr__(phase, name.removeprefix("phase."), value)
+    return dataclasses.replace(record, phase_breakdown=(*record.phase_breakdown[:-1], phase))
+
+
+def scanned_reason(tmp: Path, record: ExperimentRecord) -> str | None:
+    """The reason scan_ledger refuses the record's to_dict() as a stored line, or None."""
+    path = tmp / "stored.jsonl"
+    path.write_text(json.dumps(record.to_dict()) + "\n", encoding="utf-8")
+    ((_, _, parsed),) = scan_ledger(path)
+    return parsed.reason if isinstance(parsed, LedgerParseError) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ledger_records(),
+    st.none() | st.tuples(st.sampled_from(FIGURE_NAMES), st.floats() | st.integers(-3, 3) | st.just(10**400)),
+)
+def test_append_record_accepts_exactly_what_scan_ledger_accepts(record, change):
+    if change is not None:
+        assume(record.phase_breakdown or not change[0].startswith("phase."))
+        record = set_figure(record, *change)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        reason = scanned_reason(Path(tmp), record)
+        try:
+            append_record(path, record)
+        except InconsistentRecord as exc:
+            assert reason == str(exc)
+            assert not path.exists()
+        else:
+            assert reason is None
+            assert [parsed for _, _, parsed in scan_ledger(path)] == [record.to_dict()]
+
+
+BAD_FIGURES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1.0": -1.0, "10**400": 10**400}
+
+
+@pytest.mark.parametrize("value", BAD_FIGURES.values(), ids=BAD_FIGURES.keys())
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_a_bad_figure_is_refused_on_append_and_on_read_for_one_reason(tmp_path, name, value):
+    path = tmp_path / "ledger.jsonl"
+    append_record(path, make_record("first"))
+    before = path.read_bytes()
+    record = set_figure(make_record("bad"), name, value)
+    with pytest.raises(InconsistentRecord) as refused:
+        append_record(path, record)
+    assert path.read_bytes() == before
+    assert scanned_reason(tmp_path, record) == str(refused.value)
+    assert str(refused.value).startswith(name.replace("phase.", "phase_breakdown[1]."))
 
 
 def ledger_report_json(records: list[ExperimentRecord]) -> str:

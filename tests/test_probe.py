@@ -140,6 +140,14 @@ def test_transient_read_failures_are_skipped_and_counted():
     assert probe.skipped_reads == 1
 
 
+def test_out_of_range_readings_are_skipped_and_counted():
+    readings = iter([5.0, -1.0, float("nan"), float("inf"), 7.0])
+    probe = open_probe(ProbeDescriptor("gpu", ProbeKind.GPU, 1), reader=lambda i: next(readings))
+    samples = [sample for _ in range(5) for sample in probe.read()]
+    assert [sample.watts for sample in samples] == [5.0, 7.0]
+    assert probe.skipped_reads == 3
+
+
 def test_replay_descriptor_requires_trace_path():
     with pytest.raises(ValueError):
         ProbeDescriptor("replay", ProbeKind.REPLAY, 1, None)
