@@ -15,8 +15,8 @@ from .carbon import (
     load_intensity_registry,
 )
 from .energy import EnergyResult, RunParams, average_power, closed_form_energy, integrate_energy
-from .forecast import Forecast, PhaseSummary, phase_summaries, predict, refine
-from .ledger import ExperimentRecord, append_record, compare, read_records, render_report
+from .forecast import Forecast, account, phase_summaries, predict, refine
+from .ledger import ExperimentRecord, PhaseSummary, append_record, compare, read_records, render_report
 from .probe import PowerSample, Probe, ProbeDescriptor, ProbeKind, open_probe
 from .sampler import EpochEvent, EventKind, SampleLog, parse_events, run_sampler, slice_phase
 
@@ -37,6 +37,7 @@ __all__ = [
     "ProbeKind",
     "RunParams",
     "SampleLog",
+    "account",
     "append_record",
     "average_power",
     "car_km_equivalent",

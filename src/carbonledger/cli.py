@@ -248,32 +248,9 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
             signal.signal(signum, handler)
     exit_code = child.wait()
 
-    result = energy.integrate_energy(log, pue)
-    report = carbon.emissions(result.facility_kwh, intensity, car_kg_per_km=car_factor)
-    setup, epochs = forecast.phase_summaries(log, pue, intensity)
-    notes = list(log.warnings) + list(result.notes)
-    if log.violations:
-        notes.append(f"{log.violations} event protocol violation(s)")
-    if exit_code != 0:
-        notes.append("aborted")
-    if interrupted:
-        notes.append("interrupted")
-
-    record = ledger.ExperimentRecord(
-        experiment_id=uuid.uuid4().hex[:12],
-        label=label,
-        started_at=started_at,
-        duration_hours=forecast.run_duration_hours(log),
-        epochs_completed=log.epochs_completed(),
-        energy_kwh=result.facility_kwh,
-        intensity_g_per_kwh=intensity.grams_per_kwh,
-        pue=pue,
-        co2e_kg=report.co2e_kg,
-        car_km=report.car_km,
-        car_factor_kg_per_km=car_factor,
-        region=region,
-        phase_breakdown=tuple(([setup] if setup else []) + epochs),
-        quality_notes=tuple(notes),
+    record = forecast.account(
+        log, experiment_id=uuid.uuid4().hex[:12], label=label, started_at=started_at, intensity=intensity,
+        pue=pue, car_factor=car_factor, exit_code=exit_code, interrupted=interrupted,
     )
     ledger.append_record(ledger_path, record)
     _write_stdout(ledger.render_report([record], "text").encode("utf-8"))

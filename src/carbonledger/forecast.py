@@ -1,7 +1,9 @@
-"""Whole-run prediction from completed epochs.
+"""Whole-run prediction from completed epochs, and a run's ledger record.
 
 A run's setup and epoch summaries come from its sample log via
-:func:`phase_summaries`, which is also what the ledger record stores.
+:func:`phase_summaries`. :func:`account` builds the run's ledger record
+from the log; the record schema, ``PhaseSummary`` included, lives in
+:mod:`carbonledger.ledger`.
 After the first epoch finishes, the planned total is extrapolated
 linearly: setup cost once, plus the planned epoch count times the mean of
 the completed epochs. Emissions are always recomputed from the predicted
@@ -15,7 +17,6 @@ refinement trail makes that visible.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -23,24 +24,10 @@ from dataclasses import dataclass, field, replace
 from . import carbon, energy, sampler
 from .carbon import CarbonIntensity
 from .errors import EpochIndexRegression, NoCompletedEpochs, UnknownPhase
+from .ledger import ExperimentRecord, PhaseSummary
 from .sampler import SampleLog
 
 _EPOCH_NAME = re.compile(r"^epoch (\d+)$")
-
-
-@dataclass(frozen=True)
-class PhaseSummary:
-    """Duration, energy, and emissions of one named phase."""
-
-    phase_name: str
-    duration_hours: float
-    facility_kwh: float
-    co2e_kg: float
-
-    def __post_init__(self) -> None:
-        for name in ("duration_hours", "facility_kwh", "co2e_kg"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,12 +143,36 @@ def phase_summaries(
     return setup, epochs
 
 
-def run_duration_hours(log: SampleLog) -> float:
-    """TRAIN_START to TRAIN_END, else the sampled span, else 0."""
-    with contextlib.suppress(UnknownPhase):
+def account(
+    log: SampleLog, *, experiment_id: str, label: str, started_at: str, intensity: CarbonIntensity,
+    pue: float, car_factor: float, exit_code: int, interrupted: bool,
+) -> ExperimentRecord:
+    """The ledger record of a finished run's log, for ``intensity.region``.
+
+    The duration is TRAIN_START to TRAIN_END, else the sampled span, else
+    0. The quality notes are the log's warnings, the energy notes, the
+    count of event protocol violations, ``aborted`` for a nonzero
+    ``exit_code`` and ``interrupted``, in that order.
+    """
+    result = energy.integrate_energy(log, pue)
+    report = carbon.emissions(result.facility_kwh, intensity, car_kg_per_km=car_factor)
+    setup, epochs = phase_summaries(log, pue, intensity)
+    notes = [*log.warnings, *result.notes]
+    if log.violations:
+        notes.append(f"{log.violations} event protocol violation(s)")
+    if exit_code != 0:
+        notes.append("aborted")
+    if interrupted:
+        notes.append("interrupted")
+    try:
         start, end = sampler.phase_window(log, "run")
-        return (end - start) / energy.MS_PER_HOUR
-    columns = [series.timestamps for series in log.series.values()]
-    if sum(map(len, columns)) >= 2:
-        return (max(ts[-1] for ts in columns) - min(ts[0] for ts in columns)) / energy.MS_PER_HOUR
-    return 0.0
+    except UnknownPhase:
+        start = min((series.timestamps[0] for series in log.series.values()), default=0)
+        end = max((series.timestamps[-1] for series in log.series.values()), default=0)
+    return ExperimentRecord(
+        experiment_id=experiment_id, label=label, started_at=started_at,
+        duration_hours=(end - start) / energy.MS_PER_HOUR, epochs_completed=log.epochs_completed(),
+        energy_kwh=result.facility_kwh, intensity_g_per_kwh=intensity.grams_per_kwh, pue=pue,
+        co2e_kg=report.co2e_kg, car_km=report.car_km, car_factor_kg_per_km=car_factor, region=intensity.region,
+        phase_breakdown=((setup,) if setup else ()) + tuple(epochs), quality_notes=tuple(notes),
+    )

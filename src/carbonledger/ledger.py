@@ -1,5 +1,9 @@
 """Append-only experiment ledger and report rendering.
 
+The record schema, :class:`ExperimentRecord` and :class:`PhaseSummary`,
+lives here beside the rule that checks it, apart from the measurement
+stack; :func:`carbonledger.forecast.account` builds a run's record.
+
 Ledger format: JSON Lines, one record per line, UTF-8, LF, with a schema
 version field ``v: 1`` in every line. Appends take an advisory lock and
 write the whole line in one call, so concurrent readers never see a torn
@@ -26,15 +30,16 @@ builds no ``PhaseSummary``. ``read_records`` raises on the first bad line;
 so one torn line does not hide the rest of the ledger from a report.
 
 The text report mirrors the classic efficiency-reporting table: hours to
-three decimals, kWh and kg to two, km to two. CSV and JSON renderings
-carry full precision; CSV fields holding a comma, quote or line break are
-quoted. The JSON report is an array with one record per line, in the
-ledger's own layout: each line is the record's ledger object (sorted
-keys, ``v`` included), with non-ASCII characters escaped so the document
-is ASCII. A stored line that is printable ASCII (no DEL, tab or other
-control character once stripped) passes through as stored, byte for byte
-what re-encoding would give unless it was edited by hand; any other line
-is re-encoded.
+three decimals, kWh and kg to two, km to two. A C0 control character or
+DEL in a label is written as its Python escape (``\\n``, ``\\x1b``), so
+each record keeps one row. CSV and JSON renderings carry full precision;
+CSV fields holding a comma, quote or line break are quoted. The JSON
+report is an array with one record per line, in the ledger's own layout:
+each line is the record's ledger object (sorted keys, ``v`` included),
+with non-ASCII characters escaped so the document is ASCII. A stored line
+that is printable ASCII (no DEL, tab or other control character once
+stripped) passes through as stored, byte for byte what re-encoding would
+give unless it was edited by hand; any other line is re-encoded.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import fcntl
 import io
 import json
 import math
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -50,7 +56,6 @@ from pathlib import Path
 
 from . import carbon
 from .errors import EmptySelection, InconsistentRecord, LedgerParseError, UnknownBaseline
-from .forecast import PhaseSummary
 
 SCHEMA_VERSION = 1
 
@@ -58,6 +63,16 @@ SCHEMA_VERSION = 1
 # relative error before the record is rejected.
 _CONSISTENCY_RTOL = 1e-6
 _PHASE_OVERLAP_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class PhaseSummary:
+    """Duration, energy, and emissions of one named phase."""
+
+    phase_name: str
+    duration_hours: float
+    facility_kwh: float
+    co2e_kg: float
 
 
 @dataclass(frozen=True)
@@ -318,10 +333,18 @@ def _json_line(raw: bytes | None, data: dict) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+# a C0 control character or DEL, which would break a text row or the terminal
+_CONTROL = re.compile("[\x00-\x1f\x7f]")
+
+
+def _escape(match: re.Match) -> str:
+    return repr(match.group())[1:-1]
+
+
 def _render_text(records: list[dict]) -> str:
     rows = [
         (
-            r["label"],
+            _CONTROL.sub(_escape, r["label"]),
             f"{r['duration_hours']:.3f}",
             f"{r['energy_kwh']:.2f}",
             f"{r['co2e_kg']:.2f}",

@@ -221,11 +221,15 @@ def _nvidia_smi_reader() -> Callable[[int], float]:
 
 
 class _RaplReader:
-    """Watts from consecutive RAPL energy_uj deltas; first read primes."""
+    """Watts from consecutive RAPL energy_uj deltas. The first reading is
+    taken at open, so a counter that cannot be read is BackendUnavailable."""
 
     def __init__(self, zone: Path):
         self._energy_file = zone / "energy_uj"
-        self._last: tuple[int, int] | None = None  # (energy_uj, t_ns)
+        try:
+            self._last = (int(self._energy_file.read_text().strip()), time.time_ns())  # (energy_uj, t_ns)
+        except (OSError, ValueError) as exc:
+            raise BackendUnavailable(f"RAPL energy counter unreadable: {exc}") from exc
 
     def __call__(self, index: int) -> float:
         try:
@@ -233,10 +237,7 @@ class _RaplReader:
         except (OSError, ValueError) as exc:
             raise TransientReadFailure(str(exc)) from exc
         now = time.time_ns()
-        last = self._last
-        self._last = (energy, now)
-        if last is None:
-            raise TransientReadFailure("priming energy counter")
+        last, self._last = self._last, (energy, now)
         d_energy, d_t = energy - last[0], now - last[1]
         if d_energy < 0 or d_t <= 0:
             raise TransientReadFailure("counter wrapped or clock stalled")

@@ -41,6 +41,18 @@ def replay_probe(trace: Path, device_count: int = 1, name: str = "replay"):
     return open_probe(ProbeDescriptor(name, ProbeKind.REPLAY, device_count, str(trace)))
 
 
+def rapl_zone(tmp_path: Path, energy_uj: str | None = "1000000\n") -> Path:
+    """A fake RAPL zone whose energy_uj holds ``energy_uj``; with None,
+    energy_uj is a directory, which cannot be read even as root."""
+    zone = tmp_path / "intel-rapl:0"
+    if energy_uj is None:
+        (zone / "energy_uj").mkdir(parents=True)
+    else:
+        zone.mkdir()
+        (zone / "energy_uj").write_text(energy_uj)
+    return zone
+
+
 def make_log(
     series: dict[str, list[tuple[int, float]]],
     interval_ms: int = 1000,

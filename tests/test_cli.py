@@ -14,7 +14,7 @@ from carbonledger.cli import load_config_file, main, parse_probe_spec
 from carbonledger.ledger import read_records
 from carbonledger.probe import ProbeKind
 
-from conftest import constant_trace, golden_records, make_record, write_bad_ledger
+from conftest import constant_trace, golden_records, make_record, rapl_zone, write_bad_ledger
 from goldens import GOLDEN_ROWS
 
 from carbonledger import ledger as ledger_mod
@@ -176,6 +176,23 @@ def test_run_end_to_end_replay_fixture(tmp_path, triples_file, capsys):
     out = capsys.readouterr().out
     assert "forecast after epoch 1" in out
     assert "Experiment" in out and "demo" in out
+
+
+def test_run_appends_and_prints_the_record_account_returns(tmp_path, triples_file, monkeypatch, capsys):
+    from carbonledger import forecast
+
+    returned = []
+    account = forecast.account
+
+    def spy(log, **settings):
+        returned.append(account(log, **settings))
+        return returned[-1]
+
+    monkeypatch.setattr(forecast, "account", spy)
+    assert main(run_fixture(tmp_path, triples_file)) == 0
+    (record,) = returned
+    assert read_records(tmp_path / "ledger.jsonl") == [record]
+    assert ledger_mod.render_report([record], "text") in capsys.readouterr().out
 
 
 def test_run_rerun_is_field_identical_except_identity(tmp_path, triples_file):
@@ -591,6 +608,34 @@ def test_hardware_probe_falls_back_to_replay(tmp_path, triples_file, monkeypatch
     assert main(args) == 0
     record = read_records(tmp_path / "ledger.jsonl")[0]
     assert record.epochs_completed == 1
+
+
+def fake_rapl(monkeypatch, zone: Path) -> None:
+    """Open ``cpu`` probes over the RAPL zone ``zone``."""
+    from carbonledger import probe as probe_mod
+
+    monkeypatch.setattr(probe_mod, "_rapl_reader", lambda: probe_mod._RaplReader(zone))
+
+
+def test_cpu_probe_run_notes_no_skipped_read(tmp_path, monkeypatch):
+    fake_rapl(monkeypatch, rapl_zone(tmp_path))
+    ledger_path = tmp_path / "ledger.jsonl"
+    args = ["run", "--probe", "cpu", "--ledger", str(ledger_path), "--events", str(tmp_path / "e.log")]
+    assert main([*args, "--", "true"]) == 0
+    (record,) = read_records(ledger_path)
+    assert record.quality_notes == ("no TRAIN_START observed",)
+
+
+def test_unreadable_cpu_counter_falls_back_at_open(tmp_path, monkeypatch, capsys):
+    fake_rapl(monkeypatch, rapl_zone(tmp_path, None))
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = tmp_path / "ledger.jsonl"
+    args = ["run", "--probe", "cpu", "--fallback-probe", f"replay:{trace}", "--ledger", str(ledger_path)]
+    assert main([*args, "--events", str(tmp_path / "e.log"), "--", "true"]) == 0
+    assert "RAPL energy counter unreadable" in capsys.readouterr().err
+    (record,) = read_records(ledger_path)
+    assert record.energy_kwh == pytest.approx(100.0 * 10 / 3600 / 1000 * 1.55, rel=1e-12)
+    assert record.quality_notes == ("no TRAIN_START observed",)
 
 
 def test_hardware_probe_without_fallback_aborts(tmp_path, monkeypatch, capsys):

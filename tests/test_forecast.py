@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from carbonledger import carbon
 from carbonledger.energy import MS_PER_HOUR, integrate_energy
 from carbonledger.errors import EpochIndexRegression, NoCompletedEpochs, UnknownPhase
-from carbonledger.forecast import PhaseSummary, phase_summaries, predict, refine
+from carbonledger.forecast import PhaseSummary, account, phase_summaries, predict, refine
+from carbonledger.ledger import append_record, read_records
 from carbonledger.sampler import phase_window, slice_phase, slice_window
 
 from conftest import make_log, power_series
@@ -201,3 +204,62 @@ def test_phase_summaries_equal_slicing_each_phase(data):
     log = make_log(series, interval_ms=interval, event_lines=lines)
     pue = data.draw(st.sampled_from([1.0, 1.4]))
     assert phase_summaries(log, pue, DE) == slice_based_summaries(log, pue, DE)
+
+
+def account_of(log, **overrides):
+    """``account`` of ``log`` with fixed run settings, any of them overridden."""
+    settings = dict(
+        experiment_id="id-1", label="demo", started_at="2026-08-10T12:00:00+00:00", intensity=DE,
+        pue=1.55, car_factor=carbon.DEFAULT_CAR_KG_PER_KM, exit_code=0, interrupted=False,
+    )
+    return account(log, **{**settings, **overrides})
+
+
+def _noted_log():
+    """A log with two warnings, a gap wider than 5x the interval on source
+    ``g`` and two protocol violations (an unknown line, an unopened epoch)."""
+    log = make_log(
+        {"g": [(0, 100.0), (1000, 100.0), (8000, 100.0)], "h": [(0, 50.0), (1000, 50.0)]},
+        event_lines=["TRAIN_START 0", "BOGUS 1", "EPOCH_END 1 500"],
+    )
+    warnings = ("event timestamps precede sampler start (clock skew)", "2 hardware reads skipped")
+    return dataclasses.replace(log, warnings=warnings)
+
+
+def test_account_notes_come_in_one_order():
+    record = account_of(_noted_log(), exit_code=1, interrupted=True)
+    assert record.quality_notes == (
+        "event timestamps precede sampler start (clock skew)",
+        "2 hardware reads skipped",
+        "g: 1 gap(s) > 5x interval filled with last value",
+        "2 event protocol violation(s)",
+        "aborted",
+        "interrupted",
+    )
+    assert account_of(make_log({"g": [(0, 1.0), (1000, 1.0)]})).quality_notes == ()
+
+
+def test_account_duration_is_the_train_events_else_the_sampled_span_else_zero():
+    many = {"a": [(1000, 1.0), (5000, 1.0)], "b": [(-2000, 1.0), (3000, 1.0)]}
+    trained = make_log(many, event_lines=["TRAIN_START 0", "TRAIN_END 4600"])
+    assert account_of(trained).duration_hours == 4600 / MS_PER_HOUR
+    # TRAIN_START alone does not make a run window: the span of every source
+    assert account_of(make_log(many, event_lines=["TRAIN_START 0"])).duration_hours == 7000 / MS_PER_HOUR
+    assert account_of(make_log({"a": [(1000, 1.0)]})).duration_hours == 0.0
+    assert account_of(make_log({})).duration_hours == 0.0
+
+
+def test_account_takes_the_region_from_the_intensity():
+    france = carbon.CarbonIntensity("FR", 60.0)
+    record = account_of(_homogeneous_log(), intensity=france)
+    assert (record.region, record.intensity_g_per_kwh) == ("FR", 60.0)
+    assert record.co2e_kg == carbon.co2e(record.energy_kwh, france)
+
+
+def test_account_record_is_appended_and_read_back_as_built(tmp_path):
+    for i, log in enumerate([_homogeneous_log(), _noted_log(), make_log({})]):
+        record = account_of(log, experiment_id=f"id-{i}", exit_code=i, interrupted=bool(i))
+        append_record(tmp_path / "ledger.jsonl", record)
+        assert read_records(tmp_path / "ledger.jsonl")[-1] == record
+    setup, epochs = phase_summaries(_homogeneous_log(), 1.55, DE)
+    assert account_of(_homogeneous_log()).phase_breakdown == (setup, *epochs)

@@ -122,6 +122,25 @@ def test_text_report_reproduces_golden_table():
         assert cells[4] == f"{km:.2f}"
 
 
+def test_text_report_escapes_control_characters_in_labels():
+    labels = ["line\nbreak", "cr\rtab\tesc\x1b[31m del\x7f nul\x00 fs\x1c", "ok"]
+    lines = render_report([make_record(label) for label in labels], "text").split("\n")
+    assert len(lines) == 2 + len(labels) + 1 and lines[-1] == ""
+    escaped = ["line\\nbreak", "cr\\rtab\\tesc\\x1b[31m del\\x7f nul\\x00 fs\\x1c", "ok"]
+    assert [line.split(" | ")[0].rstrip() for line in lines[2:-1]] == escaped
+    assert len({line.index("|") for line in lines[:-1] if "|" in line}) == 1  # the columns line up
+
+
+# ASCII half the time, so control characters are drawn often
+@given(st.lists(st.text(st.characters(max_codepoint=0x7F) | st.characters(), max_size=8), min_size=1, max_size=4))
+def test_text_report_has_one_row_per_record(labels):
+    lines = render_report([make_record(label) for label in labels], "text").split("\n")
+    assert len(lines) == 2 + len(labels) + 1
+    for line, label in zip(lines[2:], labels):
+        if label.isprintable():  # printable labels are written as they are
+            assert line.startswith(label + " ")
+
+
 def test_single_record_table_keeps_header():
     document = render_report([make_record()], "text")
     lines = document.splitlines()
@@ -591,12 +610,10 @@ FIGURE_NAMES = (*FIGURE_KEYS, "epochs_completed", *(f"phase.{name}" for name in 
 
 
 def set_figure(record: ExperimentRecord, name: str, value) -> ExperimentRecord:
-    """``record`` with one figure set; ``phase.<key>`` names one of its last
-    phase's, set past PhaseSummary's own check."""
+    """``record`` with one figure set; ``phase.<key>`` names one of its last phase's."""
     if not name.startswith("phase."):
         return dataclasses.replace(record, **{name: value})
-    phase = copy.copy(record.phase_breakdown[-1])
-    object.__setattr__(phase, name.removeprefix("phase."), value)
+    phase = dataclasses.replace(record.phase_breakdown[-1], **{name.removeprefix("phase."): value})
     return dataclasses.replace(record, phase_breakdown=(*record.phase_breakdown[:-1], phase))
 
 

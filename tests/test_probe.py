@@ -11,7 +11,7 @@ from carbonledger.probe import (
     parse_trace,
 )
 
-from conftest import replay_probe, write_trace
+from conftest import rapl_zone, replay_probe, write_trace
 
 
 def drain(probe) -> list[PowerSample]:
@@ -173,13 +173,9 @@ def test_gpu_backend_unavailable_without_tool(monkeypatch):
 def test_rapl_reader_primes_then_derives_watts(tmp_path):
     from carbonledger.probe import _RaplReader
 
-    zone = tmp_path / "intel-rapl:0"
-    zone.mkdir()
+    zone = rapl_zone(tmp_path)  # 1 J so far
     counter = zone / "energy_uj"
-    counter.write_text("1000000\n")  # 1 J so far
-    reader = _RaplReader(zone)
-    with pytest.raises(TransientReadFailure):
-        reader(0)  # first read only primes the counter
+    reader = _RaplReader(zone)  # opening takes the priming reading
     counter.write_text("3000000\n")  # +2 J
     watts = reader(0)
     assert watts > 0  # 2 J over the elapsed wall time
@@ -187,6 +183,27 @@ def test_rapl_reader_primes_then_derives_watts(tmp_path):
     counter.write_text("1000\n")  # counter wrapped backwards
     with pytest.raises(TransientReadFailure):
         reader(0)
+
+
+def test_rapl_probe_skips_no_read(tmp_path):
+    from carbonledger.probe import HardwareProbe, _RaplReader
+
+    zone = rapl_zone(tmp_path)
+    probe = HardwareProbe(ProbeDescriptor("cpu", ProbeKind.CPU, 1), _RaplReader(zone))
+    samples = []
+    for energy_uj in ("2000000\n", "3000000\n"):
+        (zone / "energy_uj").write_text(energy_uj)
+        samples += probe.read()
+    assert len(samples) == 2 and all(sample.watts > 0 for sample in samples)
+    assert probe.skipped_reads == 0
+
+
+@pytest.mark.parametrize("energy_uj", [None, "not a number\n"])
+def test_unreadable_rapl_counter_is_unavailable_at_open(tmp_path, energy_uj):
+    from carbonledger.probe import _RaplReader
+
+    with pytest.raises(BackendUnavailable, match="unreadable"):
+        _RaplReader(rapl_zone(tmp_path, energy_uj))
 
 
 def test_cpu_backend_unavailable_without_sysfs(monkeypatch, tmp_path):
