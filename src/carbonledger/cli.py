@@ -10,10 +10,10 @@ interrupted run still gets its record, noted ``interrupted``.
 Exit codes: 0 success, 1 child/workload failure, 2 usage or config error.
 
 Config precedence everywhere: flags > environment variables (only the
-ledger, registry and events keys have one) > config file > built-in
-defaults. The config file is flat ``key = value`` text (keys: label,
-region, pue, interval_ms, probe, ledger, events, registry,
-planned_epochs, car_factor).
+ledger and registry keys have one) > config file > built-in defaults.
+``CARBONLEDGER_EVENTS`` is set for the child, never read. The config file
+is flat ``key = value`` text (keys: label, region, pue, interval_ms,
+probe, ledger, events, registry, planned_epochs, car_factor).
 """
 
 from __future__ import annotations
@@ -32,15 +32,15 @@ import uuid
 from pathlib import Path
 
 from . import carbon, energy, forecast, ledger
-from .errors import BackendUnavailable, CarbonLedgerError
+from .errors import BackendUnavailable, CarbonLedgerError, UsageError
 from .probe import Probe, ProbeDescriptor, ProbeKind, open_probe
 from .sampler import EVENTS_ENV, SampleLog, run_sampler
 
 LEDGER_ENV = "CARBONLEDGER_LEDGER"
 REGISTRY_ENV = "CARBONLEDGER_REGISTRY"
 
-# The only keys an environment variable can set.
-_ENV_KEYS = {"ledger": LEDGER_ENV, "registry": REGISTRY_ENV, "events": EVENTS_ENV}
+# The only keys an environment variable can set; EVENTS_ENV is the child's, set by run.
+_ENV_KEYS = {"ledger": LEDGER_ENV, "registry": REGISTRY_ENV}
 
 _DEFAULTS = {
     "label": "run",
@@ -81,14 +81,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` config; # comments and blank lines skipped."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            values[key.strip()] = value.strip()
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, eq, value = line.partition("=")
+                if not eq:
+                    raise UsageError(f"{path}:{line_no}: expected 'key = value'")
+                values[key.strip()] = value.strip()
+        except UnicodeDecodeError as exc:
+            raise UsageError(str(exc)) from None
     return values
 
 
@@ -112,13 +115,10 @@ def _open_probes(specs: list[str], fallbacks: list[str]) -> list[Probe]:
         except BackendUnavailable as exc:
             failed += 1
             print(f"probe {spec!r} unavailable: {exc}", file=sys.stderr)
-    if failed and fallbacks:
-        for i, spec in enumerate(fallbacks):
-            probes.append(open_probe(parse_probe_spec(spec, len(specs) + i)))
     if failed and not fallbacks:
         raise BackendUnavailable("a probe backend is unavailable and no --fallback-probe was given")
-    if not probes:
-        raise BackendUnavailable("no probes could be opened")
+    for i, spec in enumerate(fallbacks if failed else []):
+        probes.append(open_probe(parse_probe_spec(spec, len(specs) + i)))
     return probes
 
 
@@ -128,7 +128,7 @@ def _number(cast, flag, config: dict[str, str], key: str):
     try:
         return cast(value)
     except ValueError:
-        raise ValueError(f"config key {key!r}: expected a number, got {value!r}") from None
+        raise UsageError(f"config key {key!r}: expected a number, got {value!r}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -138,15 +138,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
     """``run``; a temporary event file is removed by ``cleanup`` once the run ends."""
-    try:
-        config = load_config_file(args.config) if args.config else {}
-        pue = _number(float, args.pue, config, "pue")
-        interval_ms = _number(int, args.interval_ms, config, "interval_ms")
-        planned_epochs = _number(int, args.planned_epochs, config, "planned_epochs")
-        car_factor = _number(float, args.car_factor, config, "car_factor")
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = load_config_file(args.config) if args.config else {}
+    pue = _number(float, args.pue, config, "pue")
+    interval_ms = _number(int, args.interval_ms, config, "interval_ms")
+    planned_epochs = _number(int, args.planned_epochs, config, "planned_epochs")
+    car_factor = _number(float, args.car_factor, config, "car_factor")
     label = _resolve(args.label, config, "label")
     region = _resolve(args.region, config, "region")
     ledger_path = _resolve(args.ledger, config, "ledger")
@@ -154,26 +150,21 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
     events_path = _resolve(args.events, config, "events")
     probe_specs = args.probe or ([config["probe"]] if "probe" in config else [])
     if not (1 <= pue < math.inf and interval_ms >= 1 and planned_epochs >= 1 and 0 < car_factor < math.inf):
-        print("pue must be >= 1, interval-ms >= 1, planned-epochs >= 1 and car-factor > 0, all finite", file=sys.stderr)
-        return 2
+        raise UsageError("pue must be >= 1, interval-ms >= 1, planned-epochs >= 1 and car-factor > 0, all finite")
     if not probe_specs:
-        print("at least one --probe is required", file=sys.stderr)
-        return 2
+        raise UsageError("at least one --probe is required")
     if not args.child:
-        print("no child command given (use: run [options] -- <command> ...)", file=sys.stderr)
-        return 2
+        raise UsageError("no child command given (use: run [options] -- <command> ...)")
 
     registry = carbon.load_intensity_registry(registry_path)
     if region not in registry:
-        print(f"region {region!r} not in intensity registry", file=sys.stderr)
-        return 2
+        raise UsageError(f"region {region!r} not in intensity registry")
     intensity = registry[region]
 
     try:
         probes = _open_probes(probe_specs, args.fallback_probe or [])
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
 
     if events_path is None:
         fd, events_path = tempfile.mkstemp(prefix="carbonledger-", suffix=".events")
@@ -260,7 +251,7 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
             f"{early.planned_epochs} planned epochs; measured {record.energy_kwh:.3f} kWh "
             f"over {record.epochs_completed} epoch(s)"
         )
-    return exit_code
+    return 128 - exit_code if exit_code < 0 else exit_code  # killed by signal N: 128 + N, as a shell says
 
 
 def _write_stdout(data: bytes) -> None:
@@ -291,18 +282,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     positive = 0 < args.kwh_per_epoch < math.inf and 0 < args.car_factor < math.inf
     if not (positive and args.epochs >= 1 and 0 <= args.setup_kwh < math.inf):
-        print("kwh-per-epoch must be > 0, epochs >= 1, setup-kwh >= 0 and car-factor > 0, all finite", file=sys.stderr)
-        return 2
+        raise UsageError("kwh-per-epoch must be > 0, epochs >= 1, setup-kwh >= 0 and car-factor > 0, all finite")
     if args.intensity is not None:
         grams = args.intensity
         if not 0 < grams < math.inf:
-            print("intensity must be finite and > 0", file=sys.stderr)
-            return 2
+            raise UsageError("intensity must be finite and > 0")
     else:
         registry = carbon.load_intensity_registry(_resolve(args.registry, {}, "registry"))
         if args.region not in registry:
-            print(f"region {args.region!r} not in intensity registry", file=sys.stderr)
-            return 2
+            raise UsageError(f"region {args.region!r} not in intensity registry")
         grams = registry[args.region].grams_per_kwh
     predicted = forecast.Forecast(
         basis_epochs=1,
@@ -353,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="render ledger records")
     report.add_argument("--ledger", default=None)
-    report.add_argument("--format", choices=("text", "text-table", "csv", "json"), default="text")
+    report.add_argument("--format", choices=("text", "csv", "json"), default="text")
     report.add_argument("--filter", default=None, help="label substring or exact experiment id")
     report.add_argument("--out", default=None)
     report.set_defaults(func=cmd_report)

@@ -12,6 +12,10 @@ class CarbonLedgerError(Exception):
     """Base class for all package-specific failures."""
 
 
+class UsageError(CarbonLedgerError, ValueError):
+    """A command line, config file or setting that cannot be acted on; the CLI exits 2."""
+
+
 class BackendUnavailable(CarbonLedgerError):
     """A hardware power backend is missing; callers may fall back to replay."""
 

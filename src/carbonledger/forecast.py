@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from . import carbon, energy, sampler
 from .carbon import CarbonIntensity
 from .errors import EpochIndexRegression, NoCompletedEpochs, UnknownPhase
-from .ledger import ExperimentRecord, PhaseSummary
+from .ledger import PHASE_OVERLAP_TOL, ExperimentRecord, PhaseSummary
 from .sampler import SampleLog
 
 _EPOCH_NAME = re.compile(r"^epoch (\d+)$")
@@ -150,29 +150,38 @@ def account(
     """The ledger record of a finished run's log, for ``intensity.region``.
 
     The duration is TRAIN_START to TRAIN_END, else the sampled span, else
-    0. The quality notes are the log's warnings, the energy notes, the
-    count of event protocol violations, ``aborted`` for a nonzero
-    ``exit_code`` and ``interrupted``, in that order.
+    0, raised to the phases' total where it falls short of it by more than
+    ``PHASE_OVERLAP_TOL`` or is negative (as when a wall clock steps back).
+    The notes are the log's warnings, the energy notes, the violation
+    count, ``duration raised to the phase total``, ``aborted`` (a nonzero
+    ``exit_code``) and ``interrupted``, in that order.
     """
     result = energy.integrate_energy(log, pue)
     report = carbon.emissions(result.facility_kwh, intensity, car_kg_per_km=car_factor)
     setup, epochs = phase_summaries(log, pue, intensity)
-    notes = [*log.warnings, *result.notes]
-    if log.violations:
-        notes.append(f"{log.violations} event protocol violation(s)")
-    if exit_code != 0:
-        notes.append("aborted")
-    if interrupted:
-        notes.append("interrupted")
+    phases = ((setup,) if setup else ()) + tuple(epochs)
     try:
         start, end = sampler.phase_window(log, "run")
     except UnknownPhase:
         start = min((series.timestamps[0] for series in log.series.values()), default=0)
         end = max((series.timestamps[-1] for series in log.series.values()), default=0)
+    duration, phase_hours = (end - start) / energy.MS_PER_HOUR, 0.0
+    for phase in phases:
+        phase_hours += phase.duration_hours  # in check_ledger_object's order, so both sums agree
+    notes = [*log.warnings, *result.notes]
+    if log.violations:
+        notes.append(f"{log.violations} event protocol violation(s)")
+    if duration < 0 or duration < phase_hours - PHASE_OVERLAP_TOL:
+        duration = phase_hours
+        notes.append("duration raised to the phase total")
+    if exit_code != 0:
+        notes.append("aborted")
+    if interrupted:
+        notes.append("interrupted")
     return ExperimentRecord(
         experiment_id=experiment_id, label=label, started_at=started_at,
-        duration_hours=(end - start) / energy.MS_PER_HOUR, epochs_completed=log.epochs_completed(),
+        duration_hours=duration, epochs_completed=log.epochs_completed(),
         energy_kwh=result.facility_kwh, intensity_g_per_kwh=intensity.grams_per_kwh, pue=pue,
         co2e_kg=report.co2e_kg, car_km=report.car_km, car_factor_kg_per_km=car_factor, region=intensity.region,
-        phase_breakdown=((setup,) if setup else ()) + tuple(epochs), quality_notes=tuple(notes),
+        phase_breakdown=phases, quality_notes=tuple(notes),
     )

@@ -23,7 +23,7 @@ Every figure is finite (within ``sys.float_info.max``: no NaN, ±inf or
 integer too large for a float) and >= 0; ``pue`` is >= 1, intensity and
 car factor > 0. Within ``_CONSISTENCY_RTOL``, ``co2e_kg`` (a phase's too)
 is its kWh x intensity / 1000 and ``car_km`` is ``co2e_kg`` / car factor;
-``duration_hours`` covers the phases' total, less ``_PHASE_OVERLAP_TOL``.
+``duration_hours`` covers the phases' total, less ``PHASE_OVERLAP_TOL``.
 The parser keeps each line as its ledger object, a dict, so a report
 builds no ``PhaseSummary``. ``read_records`` raises on the first bad line;
 ``read_ledger`` keeps every readable line and the error of every bad one,
@@ -62,7 +62,7 @@ SCHEMA_VERSION = 1
 # Stored co2e / car_km may disagree with the formulas by at most this
 # relative error before the record is rejected.
 _CONSISTENCY_RTOL = 1e-6
-_PHASE_OVERLAP_TOL = 1e-6
+PHASE_OVERLAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def check_ledger_object(data) -> None:
     km, want = data["car_km"], carbon.car_km_equivalent(kg, data["car_factor_kg_per_km"])
     if not math.isclose(km, want, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-12):
         raise ValueError(f"car_km {km} inconsistent with co2e_kg / car_factor_kg_per_km ({want})")
-    if data["duration_hours"] < phase_hours - _PHASE_OVERLAP_TOL:
+    if data["duration_hours"] < phase_hours - PHASE_OVERLAP_TOL:
         raise ValueError(f"duration_hours {data['duration_hours']} is shorter than the phase total {phase_hours}")
 
 
@@ -302,13 +302,13 @@ _TEXT_COLUMNS = (
 _CSV_FIELDS = tuple(name for name, _, _ in _RECORD_SCALARS)
 
 
-def render_report(records: list[ExperimentRecord], format: str = "text-table") -> str:
-    """Render records as a text table, CSV, or JSON document."""
+def render_report(records: list[ExperimentRecord], format: str) -> str:
+    """Render records as a ``text`` table, a ``csv`` or a ``json`` document."""
     # text and CSV read a record's values by field name; JSON needs its ledger object
     return render_stored([(None, r.to_dict() if format == "json" else vars(r)) for r in records], format)
 
 
-def render_stored(stored: list[tuple[bytes | None, dict]], format: str = "text-table") -> str:
+def render_stored(stored: list[tuple[bytes | None, dict]], format: str) -> str:
     """Render the (stored bytes, ledger object) pairs of read_ledger; a
     JSON line is re-encoded from the object where there are no bytes."""
     if not stored:
@@ -317,7 +317,7 @@ def render_stored(stored: list[tuple[bytes | None, dict]], format: str = "text-t
         # No indent: with one, json.dumps falls back to its pure-Python encoder.
         return "[\n" + ",\n".join(_json_line(raw, data) for raw, data in stored) + "\n]\n"
     rows = [data for _, data in stored]
-    if format in ("text-table", "text"):
+    if format == "text":
         return _render_text(rows)
     if format == "csv":
         return _render_csv(rows)

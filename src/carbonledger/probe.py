@@ -204,12 +204,11 @@ def _nvidia_smi_reader() -> Callable[[int], float]:
         raise BackendUnavailable("nvidia-smi not found; use a replay probe instead")
 
     def read(index: int) -> float:
-        result = subprocess.run(
-            [binary, f"--id={index}", "--query-gpu=power.draw", "--format=csv,noheader,nounits"],
-            capture_output=True,
-            text=True,
-            timeout=3.0,
-        )
+        command = [binary, f"--id={index}", "--query-gpu=power.draw", "--format=csv,noheader,nounits"]
+        try:
+            result = subprocess.run(command, capture_output=True, text=True, timeout=3.0)
+        except (subprocess.SubprocessError, OSError) as exc:  # a hung or vanished nvidia-smi
+            raise TransientReadFailure(f"nvidia-smi read failed for device {index}: {exc}") from exc
         if result.returncode != 0 or not result.stdout.strip():
             raise TransientReadFailure(f"nvidia-smi read failed for device {index}")
         try:

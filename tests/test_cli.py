@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from carbonledger.cli import load_config_file, main, parse_probe_spec
+from carbonledger.energy import MS_PER_HOUR
 from carbonledger.ledger import read_records
 from carbonledger.probe import ProbeKind
 
@@ -134,6 +135,18 @@ def test_run_malformed_config_exits_two(tmp_path, capsys, text, named):
     config.write_text(text, encoding="utf-8")
     assert rejected_before_spawn(tmp_path, ["--config", str(config)])
     assert named in capsys.readouterr().err
+
+
+def test_run_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"label = caf\xe9\n")
+    assert rejected_before_spawn(tmp_path, ["--config", str(config)])
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
+
+
+def test_run_bad_probe_spec_exits_two_before_spawning(tmp_path, capsys):
+    assert rejected_before_spawn(tmp_path, ["--probe", "gpu:x"])
+    assert "invalid literal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grams", ["nan", "inf", "-inf"])
@@ -285,6 +298,60 @@ def test_run_counts_non_ascii_digits_as_violations(tmp_path):
     assert record.epochs_completed == 1
 
 
+def test_run_appends_a_record_whose_event_stamps_disagree(tmp_path):
+    # TRAIN_END stamped inside epoch 1, as a wall clock stepped back makes it
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    write = "TRAIN_START 1000\\nEPOCH_START 1 1000\\nEPOCH_END 1 2000\\nTRAIN_END 1500\\n"
+    child = f"import os, sys; open(os.environ['CARBONLEDGER_EVENTS'], 'a').write('{write}'); sys.exit(3)"
+    ledger_path = tmp_path / "ledger.jsonl"
+    code = main(["run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path), "--", sys.executable, "-c", child])
+    assert code == 3
+    (record,) = read_records(ledger_path)
+    assert record.duration_hours == 1000 / MS_PER_HOUR
+    assert record.quality_notes == ("duration raised to the phase total", "aborted")
+
+
+def test_run_exits_128_plus_n_for_a_child_killed_by_signal_n(tmp_path):
+    import subprocess
+
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    ledger_path = tmp_path / "ledger.jsonl"
+    child = [sys.executable, "-c", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)"]
+    tracker = [sys.executable, "-m", "carbonledger.cli", "run", "--probe", f"replay:{trace}", "--ledger", str(ledger_path)]
+    assert subprocess.run([*tracker, "--", *child], stdout=subprocess.DEVNULL).returncode == 128 + 9
+    (record,) = read_records(ledger_path)
+    assert "aborted" in record.quality_notes
+
+
+def test_nested_runs_keep_their_own_event_files(tmp_path):
+    # A tracked pipeline that wraps each of its two steps in a run of its
+    # own, to get a record per step beside the record of the whole.
+    trace = constant_trace(tmp_path / "t.csv", 100.0, 10_000, 1000)
+    steps_ledger = tmp_path / "steps.jsonl"
+    step = "import os; open(os.environ['CARBONLEDGER_EVENTS'], 'a').write('TRAIN_START 0\\nEPOCH_START 1 0\\nEPOCH_END 1 5000\\nTRAIN_END 5000\\n')"
+    inner = [sys.executable, "-m", "carbonledger.cli", "run", "--label", "step", "--probe", f"replay:{trace}"]
+    inner += ["--ledger", str(steps_ledger), "--", sys.executable, "-c", step]
+    pipeline = f"""
+import os, subprocess
+def emit(line):
+    with open(os.environ["CARBONLEDGER_EVENTS"], "a") as fh:
+        fh.write(line + "\\n")
+emit("TRAIN_START 0")
+for k in (1, 2):
+    emit(f"EPOCH_START {{k}} {{(k - 1) * 5000}}")
+    subprocess.run({inner!r}, check=True, stdout=subprocess.DEVNULL)
+    emit(f"EPOCH_END {{k}} {{k * 5000}}")
+emit("TRAIN_END 10000")
+"""
+    ledger_path = tmp_path / "ledger.jsonl"
+    args = ["run", "--label", "pipeline", "--probe", f"replay:{trace}", "--ledger", str(ledger_path)]
+    assert main([*args, "--", sys.executable, "-c", pipeline]) == 0
+    (outer,) = read_records(ledger_path)
+    assert (outer.epochs_completed, outer.duration_hours, outer.quality_notes) == (2, 10_000 / MS_PER_HOUR, ())
+    steps = [(r.epochs_completed, r.duration_hours, r.quality_notes) for r in read_records(steps_ledger)]
+    assert steps == [(1, 5000 / MS_PER_HOUR, ())] * 2
+
+
 def test_run_without_probe_is_usage_error(tmp_path, capsys):
     code = main(["run", "--ledger", str(tmp_path / "l.jsonl"), "--", "true"])
     assert code == 2
@@ -406,6 +473,14 @@ def test_report_filter_and_out_file(tmp_path):
     assert main(["report", "--ledger", str(path), "--filter", "T5s", "--out", str(out_file)]) == 0
     text = out_file.read_text(encoding="utf-8")
     assert "T5s IK" in text and "T5b IK" not in text
+
+
+def test_report_rejects_the_text_table_format(tmp_path, capsys):
+    seed_golden_ledger(tmp_path / "ledger.jsonl")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--ledger", str(tmp_path / "ledger.jsonl"), "--format", "text-table"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'text-table'" in capsys.readouterr().err
 
 
 def test_report_empty_selection_exits_two(tmp_path, capsys):

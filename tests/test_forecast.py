@@ -263,3 +263,42 @@ def test_account_record_is_appended_and_read_back_as_built(tmp_path):
         assert read_records(tmp_path / "ledger.jsonl")[-1] == record
     setup, epochs = phase_summaries(_homogeneous_log(), 1.55, DE)
     assert account_of(_homogeneous_log()).phase_breakdown == (setup, *epochs)
+
+
+@pytest.mark.parametrize(
+    "series, lines, hours",
+    [
+        # TRAIN_END stamped inside epoch 1, as a wall clock stepped back makes it
+        ([(0, 100.0), (3000, 100.0)], ["TRAIN_START 1000", "EPOCH_START 1 1000", "EPOCH_END 1 2000", "TRAIN_END 1500"], 1000),
+        # TRAIN_END stamped before TRAIN_START: a negative duration, far or within the tolerance
+        ([(0, 100.0), (4000, 100.0), (8000, 100.0)], ["TRAIN_START 5000", "TRAIN_END 1000"], 0),
+        ([(0, 100.0), (4000, 100.0), (8000, 100.0)], ["TRAIN_START 1001", "TRAIN_END 1000"], 0),
+        # no TRAIN_* events, and epoch 1 runs past the sampled span
+        ([(0, 100.0), (2000, 100.0)], ["EPOCH_START 1 0", "EPOCH_END 1 5000"], 5000),
+    ],
+)
+def test_account_raises_a_short_duration_to_the_phase_total(tmp_path, series, lines, hours):
+    record = account_of(make_log({"a": series}, event_lines=lines))
+    assert record.duration_hours == hours / MS_PER_HOUR
+    assert record.quality_notes == ("duration raised to the phase total",)
+    append_record(tmp_path / "ledger.jsonl", record)
+    assert read_records(tmp_path / "ledger.jsonl") == [record]
+
+
+def test_account_keeps_a_duration_within_the_tolerance_of_the_phase_total():
+    # 1 ms (2.8e-7 h) short of epoch 1: within PHASE_OVERLAP_TOL, so the ledger takes it as it is
+    lines = ["TRAIN_START 0", "EPOCH_START 1 0", "EPOCH_END 1 2000", "TRAIN_END 1999"]
+    record = account_of(make_log({"a": [(0, 1.0), (3000, 1.0)]}, event_lines=lines))
+    assert record.duration_hours == 1999 / MS_PER_HOUR
+    assert record.quality_notes == ()
+
+
+def test_account_notes_a_raised_duration_after_the_violations_and_before_aborted():
+    lines = ["TRAIN_START 0", "EPOCH_START 1 0", "BOGUS 1", "EPOCH_END 1 2000", "TRAIN_END 1000"]
+    record = account_of(make_log({"a": [(0, 1.0), (3000, 1.0)]}, event_lines=lines), exit_code=1, interrupted=True)
+    assert record.quality_notes == (
+        "1 event protocol violation(s)",
+        "duration raised to the phase total",
+        "aborted",
+        "interrupted",
+    )

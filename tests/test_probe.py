@@ -210,3 +210,61 @@ def test_cpu_backend_unavailable_without_sysfs(monkeypatch, tmp_path):
     monkeypatch.setattr("carbonledger.probe.Path", lambda *a: tmp_path / "nope")
     with pytest.raises(BackendUnavailable):
         open_probe(ProbeDescriptor("cpu", ProbeKind.CPU, 1))
+
+
+def stub_nvidia_smi(monkeypatch, outcome):
+    """The nvidia-smi reader over a stub ``subprocess.run``: ``outcome`` is
+    the (returncode, stdout) it completes with, or the exception it raises.
+    Returns the reader and the list of commands it was asked to run."""
+    import subprocess
+
+    from carbonledger import probe as probe_mod
+
+    commands = []
+
+    def run(command, **kwargs):
+        commands.append(command)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return subprocess.CompletedProcess(command, outcome[0], stdout=outcome[1], stderr="")
+
+    monkeypatch.setattr(probe_mod.shutil, "which", lambda name: "/opt/nvidia/bin/nvidia-smi")
+    monkeypatch.setattr(probe_mod.subprocess, "run", run)
+    return probe_mod._nvidia_smi_reader(), commands
+
+
+def test_nvidia_smi_reader_parses_the_first_line(monkeypatch):
+    reader, commands = stub_nvidia_smi(monkeypatch, (0, "123.45\n67.8\n"))
+    assert reader(1) == 123.45
+    assert commands[0][:2] == ["/opt/nvidia/bin/nvidia-smi", "--id=1"]
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        (9, "123.45\n"),  # nonzero exit
+        (0, "  \n"),  # nothing read
+        (0, "[N/A]\n"),  # unparsable
+        "timeout",
+        FileNotFoundError(2, "No such file or directory"),  # the binary vanished
+    ],
+)
+def test_nvidia_smi_reader_failures_are_transient(monkeypatch, outcome):
+    import subprocess
+
+    if outcome == "timeout":
+        outcome = subprocess.TimeoutExpired(["nvidia-smi"], 3.0)
+    reader, _ = stub_nvidia_smi(monkeypatch, outcome)
+    with pytest.raises(TransientReadFailure, match="nvidia-smi|N/A"):
+        reader(0)
+
+
+def test_a_hung_nvidia_smi_is_a_skipped_read(monkeypatch):
+    import subprocess
+
+    from carbonledger.probe import HardwareProbe
+
+    reader, _ = stub_nvidia_smi(monkeypatch, subprocess.TimeoutExpired(["nvidia-smi"], 3.0))
+    probe = HardwareProbe(ProbeDescriptor("gpu", ProbeKind.GPU, 2), reader)
+    assert probe.read() == []
+    assert probe.skipped_reads == 2

@@ -562,6 +562,38 @@ def test_run_sampler_polls_hardware_probes_on_cadence(tmp_path):
     assert {s.watts for s in log.samples_for("gpu1")} == {56.0}
 
 
+def test_run_sampler_notes_a_skipped_hardware_read(tmp_path):
+    from carbonledger import carbon
+    from carbonledger.errors import TransientReadFailure
+    from carbonledger.forecast import account
+    from carbonledger.probe import HardwareProbe, ProbeDescriptor, ProbeKind
+
+    reads = {"n": 0}
+
+    def reader(index: int) -> float:
+        reads["n"] += 1
+        if reads["n"] == 2:
+            raise TransientReadFailure("device busy")
+        return 50.0
+
+    probe = HardwareProbe(ProbeDescriptor("gpu", ProbeKind.GPU, 1), reader)
+    events = write_events(tmp_path / "e.log", MINIMAL_RUN)
+    ticks = {"n": 0}
+
+    def stop() -> bool:
+        ticks["n"] += 1
+        return ticks["n"] > 3
+
+    log = run_sampler([probe], 10, events, stop_condition=stop)
+    assert "1 hardware reads skipped" in log.warnings
+    record = account(
+        log, experiment_id="id-1", label="gpu", started_at="2026-08-10T12:00:00+00:00",
+        intensity=carbon.CarbonIntensity("DE", 380.0), pue=1.55, car_factor=carbon.DEFAULT_CAR_KG_PER_KM,
+        exit_code=0, interrupted=False,
+    )
+    assert "1 hardware reads skipped" in record.quality_notes
+
+
 def test_run_sampler_reads_hardware_on_a_fixed_grid(tmp_path, monkeypatch):
     # Fake clock in exact binary fractions of a second: a read costs 1/16 s,
     # the third one 2.5 intervals; polls cost nothing.
