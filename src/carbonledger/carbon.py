@@ -111,32 +111,32 @@ def load_intensity_registry(path: str | Path | None = None) -> dict[str, CarbonI
     """Region -> intensity map: built-in defaults overlaid by a CSV file.
 
     A file row for a region already present in the built-ins overrides
-    it; the same region twice within one file raises DuplicateRegion.
+    it; the same region twice within one file raises DuplicateRegion, and
+    a malformed row, or bytes that are not UTF-8, RegistryParseError.
     With no path, the built-ins alone are returned.
     """
     registry = dict(BUILT_IN_INTENSITIES)
     if path is None:
         return registry
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise RegistryParseError(str(path), line_no, f"expected 4 columns, got {len(parts)}")
-            region, grams_text, source, as_of_text = (p.strip() for p in parts)
-            if not region:
-                raise RegistryParseError(str(path), line_no, "empty region code")
-            if region in seen:
-                raise DuplicateRegion(f"{path}:{line_no}: region {region} appears twice")
-            try:
-                grams = float(grams_text)
-                as_of = datetime.date.fromisoformat(as_of_text)
-                entry = CarbonIntensity(region, grams, source, as_of)
-            except ValueError as exc:
-                raise RegistryParseError(str(path), line_no, str(exc)) from exc
-            seen.add(region)
-            registry[region] = entry
+    text = RegistryParseError.decode(path, Path(path).read_bytes())
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise RegistryParseError(str(path), line_no, f"expected 4 columns, got {len(parts)}")
+        region, grams_text, source, as_of_text = (p.strip() for p in parts)
+        if not region:
+            raise RegistryParseError(str(path), line_no, "empty region code")
+        if region in seen:
+            raise DuplicateRegion(f"{path}:{line_no}: region {region} appears twice")
+        try:
+            grams = float(grams_text)
+            as_of = datetime.date.fromisoformat(as_of_text)
+            entry = CarbonIntensity(region, grams, source, as_of)
+        except ValueError as exc:
+            raise RegistryParseError(str(path), line_no, str(exc)) from exc
+        seen.add(region)
+        registry[region] = entry
     return registry

@@ -8,28 +8,31 @@ device-side figure.
 
 Every trace integral goes through :func:`window_energy`. It reads the
 columns a :class:`~carbonledger.sampler.SampleLog` stores per source
-(:class:`~carbonledger.sampler.SourceSeries`): timestamps and watts, plus
-one kWh term per segment between consecutive samples, computed by
-:func:`segment_kwh` with the gap rule folded in and cached on the series
-on first use. A window's energy per source is ``math.fsum`` of the terms
-of the segments inside it, found by ``bisect``, plus the two partial
-segments where the window cuts between samples. ``fsum`` is correctly
-rounded, so a window sums to exactly what integrating its slice gives;
-prefix-sum differences would not.
+(:class:`SourceSeries`): timestamps and watts, plus one kWh term per
+segment between consecutive samples, computed by :func:`segment_kwh` with
+the gap rule folded in and cached on the series on first use. A window's
+energy per source is ``math.fsum`` of the terms of the segments inside
+it, found by ``bisect``, plus the two partial segments where the window
+cuts between samples. ``fsum`` is correctly rounded, so a window sums to
+exactly what integrating its slice gives; prefix-sum differences would
+not.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import chain
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .errors import InsufficientSamples, UnknownPhase
 
 if TYPE_CHECKING:
-    from .sampler import SampleLog, SourceSeries
+    from .sampler import SampleLog
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -88,6 +91,60 @@ def segment_kwh(dt_ms: int, w0: float, w1: float, gap_limit_ms: float) -> float:
     carried forward, so dropped reads never silently delete energy.
     """
     return (w0 * dt_ms if dt_ms > gap_limit_ms else 0.5 * (w0 + w1) * dt_ms) / MS_PER_HOUR / 1000.0
+
+
+@dataclass(frozen=True)
+class SourceSeries:
+    """One source's samples as columns, in timestamp order.
+
+    Equal stamps keep the order they were recorded in. The columns must
+    not change once the series is built: the kWh terms cached on it are
+    shared by every log, and every source, that holds it. ``len()`` is the
+    sample count.
+    """
+
+    timestamps: array
+    watts: array
+    _terms: dict[float, tuple[array, array]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @cached_property
+    def negative_watts(self) -> bool:
+        return bool(self.watts) and min(self.watts) < 0
+
+    def energy_terms(self, gap_limit_ms: float) -> tuple[array, array]:
+        """``kwh_terms[i]`` is the energy of the segment from sample i to
+        sample i + 1 (:func:`segment_kwh`); ``gap_segments`` lists,
+        ascending, the i whose segment is wider than the gap limit.
+        Computed once per gap limit.
+        """
+        if gap_limit_ms not in self._terms:
+            ts, ws = self.timestamps, self.watts
+            dts = array("q", map(sub, ts[1:], ts))
+            self._terms[gap_limit_ms] = (
+                array("d", map(segment_kwh, dts, ws, ws[1:], repeat(gap_limit_ms))),
+                array("q", [i for i, dt in enumerate(dts) if dt > gap_limit_ms]),
+            )
+        return self._terms[gap_limit_ms]
+
+    def window(self, start: float, end: float) -> tuple[int, int, float | None, float | None]:
+        """Samples ``lo:hi`` lie in [start, end]; the watts at start and at
+        end are interpolated where the window cuts between two samples, and
+        None where a boundary sits on a sample or outside the sampled span.
+        """
+        ts = self.timestamps
+        return bisect_left(ts, start), bisect_right(ts, end), self._cut(start), self._cut(end)
+
+    def _cut(self, t: float) -> float | None:
+        ts = self.timestamps
+        k = bisect_left(ts, t)
+        if k == 0 or k == len(ts) or ts[k] == t:
+            return None
+        w0 = self.watts[k - 1]
+        frac = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
+        return w0 + (self.watts[k] - w0) * frac
 
 
 def _source_window_kwh(series: SourceSeries, start: float, end: float, gap_limit_ms: float) -> tuple[float, int]:

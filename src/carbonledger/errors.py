@@ -7,6 +7,8 @@ non-positive run parameters, probabilities outside (0, 1)).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class CarbonLedgerError(Exception):
     """Base class for all package-specific failures."""
@@ -28,6 +30,16 @@ class FileLineError(CarbonLedgerError):
         self.path = path
         self.line_no = line_no
         self.reason = reason
+
+    @classmethod
+    def decode(cls, path: str | Path, data: bytes) -> str:
+        """The text of the file at ``path``, whose bytes are ``data``, decoded
+        from UTF-8 in one step; bytes that are not UTF-8 raise this class,
+        naming the line they are on."""
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise cls(str(path), data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
 
 
 class TraceParseError(FileLineError):

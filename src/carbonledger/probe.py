@@ -15,22 +15,31 @@ text, UTF-8, LF line endings. Lines starting with ``#`` are comments.
 Timestamps must be strictly increasing. The environment variable
 ``CARBONLEDGER_TRACE_DIR`` optionally roots relative trace paths.
 
+A replay trace is parsed once, straight into a timestamp and a watts
+column (a :class:`~carbonledger.energy.SourceSeries`). Its probe hands
+that series over in a single read, as a :class:`Reading` that maps every
+fan-out source to the same series, so no row object is built per sample.
+Hardware probes return one :class:`PowerSample` per source per read.
+
 Probe handles are single-consumer: exactly one reader at a time. They may
 be handed between threads but never shared concurrently.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import shutil
 import subprocess
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable
 
+from .energy import SourceSeries
 from .errors import BackendUnavailable, TraceParseError, TransientReadFailure
 
 TRACE_DIR_ENV = "CARBONLEDGER_TRACE_DIR"
@@ -85,37 +94,43 @@ class ProbeDescriptor:
         return tuple(f"{self.source_id}{i}" for i in range(self.device_count))
 
 
-def parse_trace(path: str | Path) -> list[tuple[int, float]]:
-    """Parse a trace file into (timestamp_ms, watts) pairs.
+def parse_trace(path: str | Path) -> SourceSeries:
+    """Parse a trace file into one series: a timestamp and a watts column.
 
-    Raises TraceParseError (with line number) on malformed lines, negative
-    watts, or non-increasing timestamps.
+    The file is decoded from UTF-8 once, then read line by line, split on
+    LF only. Raises TraceParseError (with line number) on bytes that are
+    not UTF-8, malformed lines, negative or non-finite watts, timestamps
+    outside the 64-bit range, and non-increasing timestamps.
     """
     resolved = resolve_trace_path(path)
-    pairs: list[tuple[int, float]] = []
-    with open(resolved, "r", encoding="utf-8", newline="\n") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise TraceParseError(str(resolved), line_no, f"expected 2 fields, got {len(parts)}")
-            try:
-                ts = int(parts[0])
-                watts = float(parts[1])
-            except ValueError as exc:
-                raise TraceParseError(str(resolved), line_no, str(exc)) from exc
-            if watts != watts or watts in (float("inf"), float("-inf")):
-                raise TraceParseError(str(resolved), line_no, "watts must be finite")
-            if watts < 0:
-                raise TraceParseError(str(resolved), line_no, f"negative watts {watts}")
-            if pairs and ts <= pairs[-1][0]:
-                raise TraceParseError(
-                    str(resolved), line_no, f"timestamp {ts} not increasing (previous {pairs[-1][0]})"
-                )
-            pairs.append((ts, watts))
-    return pairs
+    name = str(resolved)
+    text = TraceParseError.decode(name, resolved.read_bytes())
+    stamps, watts_column = array("q"), array("d")
+    previous = None
+    for line_no, raw in enumerate(io.StringIO(text, newline="\n"), start=1):
+        line = raw.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise TraceParseError(name, line_no, f"expected 2 fields, got {len(parts)}")
+        try:
+            ts, watts = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise TraceParseError(name, line_no, str(exc)) from exc
+        if not math.isfinite(watts):
+            raise TraceParseError(name, line_no, "watts must be finite")
+        if watts < 0:
+            raise TraceParseError(name, line_no, f"negative watts {watts}")
+        if previous is not None and ts <= previous:
+            raise TraceParseError(name, line_no, f"timestamp {ts} not increasing (previous {previous})")
+        try:
+            stamps.append(ts)
+        except OverflowError:
+            raise TraceParseError(name, line_no, f"timestamp {ts} outside the 64-bit range") from None
+        watts_column.append(watts)
+        previous = ts
+    return SourceSeries(stamps, watts_column)
 
 
 def resolve_trace_path(path: str | Path) -> Path:
@@ -128,6 +143,18 @@ def resolve_trace_path(path: str | Path) -> Path:
     return p
 
 
+@dataclass(frozen=True)
+class Reading:
+    """A replay probe's whole trace, handed over in one read: each source
+    id mapped to its series (one shared object for a fan-out). ``len()``
+    is the sample count over all sources."""
+
+    series: dict[str, SourceSeries]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.series.values()))
+
+
 class Probe:
     """Base handle. Subclasses fill in one read() step."""
 
@@ -136,31 +163,30 @@ class Probe:
         self.source_ids = descriptor.source_ids
         self.skipped_reads = 0
 
-    def read(self) -> list[PowerSample] | None:
-        """Return one sample per source, or None at end of trace."""
+    def read(self) -> Reading | list[PowerSample] | None:
+        """A replay probe returns its whole trace as one Reading, then None.
+        A hardware probe returns one sample per source read, and never None."""
         raise NotImplementedError
 
 
 class ReplayProbe(Probe):
-    """Plays a parsed trace back verbatim, one entry per source per read.
+    """Plays a parsed trace back verbatim, all of it in the first read.
 
-    All sources of a replay probe share the same trace, so they exhaust
-    together; read() returns None once the trace is consumed and keeps
-    returning None afterwards.
+    All sources of a replay probe share the one parsed series. read()
+    returns None once the trace is handed over, or at once for a trace
+    without samples, and keeps returning None afterwards.
     """
 
     def __init__(self, descriptor: ProbeDescriptor):
         super().__init__(descriptor)
         assert descriptor.trace_path is not None
-        self._entries = parse_trace(descriptor.trace_path)
-        self._cursor = 0
+        self._series: SourceSeries | None = parse_trace(descriptor.trace_path)
 
-    def read(self) -> list[PowerSample] | None:
-        if self._cursor >= len(self._entries):
+    def read(self) -> Reading | None:
+        series, self._series = self._series, None
+        if not series:
             return None
-        ts, watts = self._entries[self._cursor]
-        self._cursor += 1
-        return [PowerSample(sid, ts, watts) for sid in self.source_ids]
+        return Reading(dict.fromkeys(self.source_ids, series))
 
 
 class HardwareProbe(Probe):

@@ -27,12 +27,16 @@ identical. Hardware probes are polled once per ``interval_ms``, on a grid
 fixed at the first read, so a late read does not shift later ones. Boundary
 events are kept in timestamp order as they are admitted.
 
-A log stores each source's samples as columns (:class:`SourceSeries`);
-rows (:attr:`SampleLog.samples`) are a view built on request. The sampler
-appends every read straight into its source's columns, and a snapshot
-copies only the columns that grew since the last one, so the kWh terms a
-series caches are shared by every log that holds it. Phase windows resolve
-by dictionary lookup, and :func:`slice_window` and
+A log stores each source's samples as columns
+(:class:`~carbonledger.energy.SourceSeries`); rows
+(:attr:`SampleLog.samples`) are a view built on request. A replay probe
+hands over its parsed trace as one series, shared by all its fan-out
+sources; the sampler puts it into every log as it is, never copied, so
+its kWh terms are computed once. The sampler appends each hardware read
+straight into its source's columns, and a snapshot copies only the
+columns that grew since the last one, so the kWh terms a series caches
+are shared by every log that holds it. Phase windows resolve by
+dictionary lookup, and :func:`slice_window` and
 :func:`~carbonledger.energy.window_energy` find a window's samples by
 ``bisect``; no path rescans the whole log per phase.
 """
@@ -49,11 +53,11 @@ from enum import Enum
 from functools import cached_property
 from heapq import merge
 from itertools import repeat
-from operator import attrgetter, sub
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .energy import segment_kwh
+from .energy import SourceSeries
 from .errors import UnknownPhase
 from .probe import Probe, PowerSample, ProbeKind
 
@@ -63,6 +67,9 @@ EVENTS_ENV = "CARBONLEDGER_EVENTS"
 # is long: this bounds how late an EPOCH_END, and so the epoch-1 forecast,
 # is seen. The stop itself is seen at once when the pause wakes on it.
 _MAX_POLL_S = 0.1
+# From TRAIN_START until the first epoch has ended, the bound is this
+# instead: the epoch-1 forecast is printed when that end is seen.
+_FIRST_EPOCH_POLL_S = 0.02
 
 _TIMESTAMP = attrgetter("timestamp_ms")
 
@@ -88,56 +95,6 @@ class EpochEvent:
     kind: EventKind
     epoch_index: int
     timestamp_ms: int
-
-
-@dataclass(frozen=True)
-class SourceSeries:
-    """One source's samples as columns, in timestamp order.
-
-    Equal stamps keep the order they were recorded in. The columns must
-    not change once the series is built: the kWh terms cached on it are
-    shared by every log that holds it.
-    """
-
-    timestamps: array
-    watts: array
-    _terms: dict[float, tuple[array, array]] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def negative_watts(self) -> bool:
-        return bool(self.watts) and min(self.watts) < 0
-
-    def energy_terms(self, gap_limit_ms: float) -> tuple[array, array]:
-        """``kwh_terms[i]`` is the energy of the segment from sample i to
-        sample i + 1 (:func:`~carbonledger.energy.segment_kwh`);
-        ``gap_segments`` lists, ascending, the i whose segment is wider
-        than the gap limit. Computed once per gap limit.
-        """
-        if gap_limit_ms not in self._terms:
-            ts, ws = self.timestamps, self.watts
-            dts = array("q", map(sub, ts[1:], ts))
-            self._terms[gap_limit_ms] = (
-                array("d", map(segment_kwh, dts, ws, ws[1:], repeat(gap_limit_ms))),
-                array("q", [i for i, dt in enumerate(dts) if dt > gap_limit_ms]),
-            )
-        return self._terms[gap_limit_ms]
-
-    def window(self, start: float, end: float) -> tuple[int, int, float | None, float | None]:
-        """Samples ``lo:hi`` lie in [start, end]; the watts at start and at
-        end are interpolated where the window cuts between two samples, and
-        None where a boundary sits on a sample or outside the sampled span.
-        """
-        ts = self.timestamps
-        return bisect_left(ts, start), bisect_right(ts, end), self._cut(start), self._cut(end)
-
-    def _cut(self, t: float) -> float | None:
-        ts = self.timestamps
-        k = bisect_left(ts, t)
-        if k == 0 or k == len(ts) or ts[k] == t:
-            return None
-        w0 = self.watts[k - 1]
-        frac = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
-        return w0 + (self.watts[k] - w0) * frac
 
 
 @dataclass(frozen=True)
@@ -344,7 +301,9 @@ def run_sampler(
     once per interval, on a grid fixed at the first read, and a read that
     runs late skips the slots it missed rather than bursting. The event
     file is polled at least every 100 ms, so an epoch's end is seen within
-    that even under a long sampling interval.
+    that even under a long sampling interval, and every 20 ms from
+    TRAIN_START until the first epoch has ended, so the first end is seen
+    within about 20 ms.
     Between polls the loop pauses with ``wait(seconds)``, ``time.sleep``
     when not given. A ``wait`` that returns as soon as ``stop_condition``
     turns true, such as the ``wait`` of the ``threading.Event`` whose
@@ -364,10 +323,15 @@ def run_sampler(
     hardware = []
     for probe in probes:
         if probe.descriptor.kind is ProbeKind.REPLAY:
-            while (batch := probe.read()) is not None:
-                _record(columns, batch)
+            while (reading := probe.read()) is not None:
+                for source, series in reading.series.items():
+                    frozen[source] = _merged(frozen[source], series) if source in frozen else series
         else:
             hardware.append(probe)
+    for source in (source for probe in hardware for source in probe.source_ids if source in frozen):
+        # a hardware probe reading a replayed source id appends to a copy of its columns
+        series = frozen.pop(source)
+        columns[source] = (array("q", series.timestamps), array("d", series.watts))
 
     tail = _EventTail(event_stream_path)
     started_wall_ms = time.time_ns() // 1_000_000
@@ -414,7 +378,8 @@ def run_sampler(
             on_tick(snapshot())
         if stop_condition():
             break
-        pause = min(interval_s, _MAX_POLL_S)
+        first_epoch = tail.train_started and not (tail.epochs_ended or tail.train_ended)
+        pause = min(interval_s, _FIRST_EPOCH_POLL_S if first_epoch else _MAX_POLL_S)
         if hardware:
             pause = min(pause, max(next_hw_read - time.monotonic(), 0.0))
         pause_for(pause)
@@ -424,6 +389,13 @@ def run_sampler(
         skipped_note += probe.skipped_reads
     tail.finish()
     return snapshot(skipped_note)
+
+
+def _merged(first: SourceSeries, second: SourceSeries) -> SourceSeries:
+    """Both series as a new one in timestamp order; equal stamps keep
+    ``first``'s samples ahead, as a stable sort would."""
+    rows = list(merge(zip(first.timestamps, first.watts), zip(second.timestamps, second.watts), key=itemgetter(0)))
+    return SourceSeries(array("q", map(itemgetter(0), rows)), array("d", map(itemgetter(1), rows)))
 
 
 def _record(columns: dict[str, tuple[array, array]], batch: Iterable[PowerSample]) -> None:

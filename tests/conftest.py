@@ -8,10 +8,12 @@ import pytest
 from hypothesis import strategies as st
 
 from carbonledger import carbon
+from carbonledger.energy import SourceSeries
+from carbonledger.errors import TraceParseError
 from carbonledger.forecast import PhaseSummary
 from carbonledger.ledger import ExperimentRecord
-from carbonledger.probe import ProbeDescriptor, ProbeKind, open_probe
-from carbonledger.sampler import SampleLog, SourceSeries, _EventStream
+from carbonledger.probe import ProbeDescriptor, ProbeKind, open_probe, resolve_trace_path
+from carbonledger.sampler import SampleLog, _EventStream
 
 from goldens import GOLDEN_ROWS
 
@@ -23,6 +25,43 @@ def write_trace(path: Path, pairs: list[tuple[int, float]]) -> Path:
 
 def constant_trace(path: Path, watts: float, duration_ms: int, cadence_ms: int = 1000) -> Path:
     return write_trace(path, [(t, watts) for t in range(0, duration_ms + 1, cadence_ms)])
+
+
+def pairs_of(series: SourceSeries) -> list[tuple[int, float]]:
+    """A series' samples as (timestamp_ms, watts) pairs, in order."""
+    return list(zip(series.timestamps, series.watts))
+
+
+def parse_trace_rows(path: str | Path) -> list[tuple[int, float]]:
+    """Test oracle: the row parser ``probe.parse_trace`` once was. It reads
+    the file as text, line by line, and returns (timestamp_ms, watts)
+    pairs, raising TraceParseError with the same line numbers and
+    messages as the column parser."""
+    resolved = resolve_trace_path(path)
+    pairs: list[tuple[int, float]] = []
+    with open(resolved, "r", encoding="utf-8", newline="\n") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise TraceParseError(str(resolved), line_no, f"expected 2 fields, got {len(parts)}")
+            try:
+                ts = int(parts[0])
+                watts = float(parts[1])
+            except ValueError as exc:
+                raise TraceParseError(str(resolved), line_no, str(exc)) from exc
+            if watts != watts or watts in (float("inf"), float("-inf")):
+                raise TraceParseError(str(resolved), line_no, "watts must be finite")
+            if watts < 0:
+                raise TraceParseError(str(resolved), line_no, f"negative watts {watts}")
+            if pairs and ts <= pairs[-1][0]:
+                raise TraceParseError(
+                    str(resolved), line_no, f"timestamp {ts} not increasing (previous {pairs[-1][0]})"
+                )
+            pairs.append((ts, watts))
+    return pairs
 
 
 def write_events(path: Path, lines: list[str]) -> Path:

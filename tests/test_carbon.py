@@ -145,6 +145,21 @@ def test_registry_malformed_row_reports_line_number(tmp_path):
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        (b"# caf\xe9\nDE,380,a,2022-01-01\n", 1),
+        ("# café\nDE,380,a,2022-01-01\n".encode("utf-8") + b"FR,60,b\xff,2023-01-01", 3),
+    ],
+)
+def test_registry_that_is_not_utf8_names_file_and_line(tmp_path, data, line_no):
+    path = tmp_path / "registry.csv"
+    path.write_bytes(data)
+    with pytest.raises(RegistryParseError) as err:
+        load_intensity_registry(path)
+    assert (err.value.path, err.value.line_no, err.value.reason) == (str(path), line_no, "not UTF-8")
+
+
 @pytest.mark.parametrize("grams", ["nan", "inf", "-inf"])
 def test_registry_non_finite_intensity_names_file_and_line(tmp_path, grams):
     path = tmp_path / "registry.csv"

@@ -144,6 +144,25 @@ def test_run_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert "can't decode byte 0xe9" in capsys.readouterr().err
 
 
+def test_run_with_a_trace_that_is_not_utf8_names_it_before_spawning(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"0,1\n1000,caf\xe9\n")
+    assert rejected_before_spawn(tmp_path, ["--probe", f"replay:{bad}"])
+    assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_a_registry_that_is_not_utf8_is_a_named_bad_line(tmp_path, capsys):
+    registry = tmp_path / "registry.csv"
+    registry.write_bytes(b"FR,60,ember,2024-01-01\nDE,380,caf\xe9,2022-01-01\n")
+    named = f"{registry}:2: not UTF-8"
+    assert main(["regions", "--registry", str(registry)]) == 2
+    assert named in capsys.readouterr().err
+    assert main(["predict", "--kwh-per-epoch", "1", "--epochs", "2", "--registry", str(registry)]) == 2
+    assert named in capsys.readouterr().err
+    assert rejected_before_spawn(tmp_path, ["--registry", str(registry)])
+    assert named in capsys.readouterr().err
+
+
 def test_run_bad_probe_spec_exits_two_before_spawning(tmp_path, capsys):
     assert rejected_before_spawn(tmp_path, ["--probe", "gpu:x"])
     assert "invalid literal" in capsys.readouterr().err

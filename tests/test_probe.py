@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carbonledger.errors import BackendUnavailable, TraceParseError, TransientReadFailure
 from carbonledger.probe import (
@@ -11,21 +17,23 @@ from carbonledger.probe import (
     parse_trace,
 )
 
-from conftest import rapl_zone, replay_probe, write_trace
+from conftest import pairs_of, parse_trace_rows, rapl_zone, replay_probe, write_trace
 
 
-def drain(probe) -> list[PowerSample]:
-    out = []
-    while (batch := probe.read()) is not None:
-        out.extend(batch)
+def drain(probe) -> dict[str, list[tuple[int, float]]]:
+    """Every (timestamp_ms, watts) pair a replay probe hands over, per source."""
+    out: dict[str, list[tuple[int, float]]] = {}
+    while (reading := probe.read()) is not None:
+        for source, series in reading.series.items():
+            out.setdefault(source, []).extend(pairs_of(series))
     return out
 
 
 def test_replay_identity(tmp_path):
     trace = write_trace(tmp_path / "t.csv", [(0, 100.0), (1000, 100.0)])
-    samples = drain(replay_probe(trace))
-    assert [(s.timestamp_ms, s.watts) for s in samples] == [(0, 100.0), (1000, 100.0)]
-    assert samples[1].timestamp_ms - samples[0].timestamp_ms == 1000
+    samples = drain(replay_probe(trace))["replay0"]
+    assert samples == [(0, 100.0), (1000, 100.0)]
+    assert samples[1][0] - samples[0][0] == 1000
 
 
 def test_replay_empty_file_yields_no_samples(tmp_path):
@@ -38,8 +46,7 @@ def test_replay_empty_file_yields_no_samples(tmp_path):
 def test_replay_reproduces_trace_bit_equal_after_parse(tmp_path):
     pairs = [(0, 13.25), (17, 0.0), (1017, 250.125), (5000, 99.875)]
     trace = write_trace(tmp_path / "t.csv", pairs)
-    samples = drain(replay_probe(trace))
-    assert [(s.timestamp_ms, s.watts) for s in samples] == pairs
+    assert drain(replay_probe(trace)) == {"replay0": pairs}
 
 
 def test_read_after_end_of_trace_keeps_signalling(tmp_path):
@@ -52,13 +59,15 @@ def test_read_after_end_of_trace_keeps_signalling(tmp_path):
 
 def test_constant_trace_reads_constant(tmp_path):
     trace = write_trace(tmp_path / "t.csv", [(t, 250.0) for t in range(0, 5000, 1000)])
-    assert all(s.watts == 250.0 for s in drain(replay_probe(trace)))
+    assert all(w == 250.0 for _, w in drain(replay_probe(trace))["replay0"])
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):
     trace = tmp_path / "t.csv"
     trace.write_text("# header\n0,10\n\n# mid\n1000,20\n", encoding="utf-8")
-    assert parse_trace(trace) == [(0, 10.0), (1000, 20.0)]
+    series = parse_trace(trace)
+    assert pairs_of(series) == [(0, 10.0), (1000, 20.0)]
+    assert len(series) == 2
 
 
 @pytest.mark.parametrize(
@@ -88,19 +97,122 @@ def test_non_increasing_timestamps_rejected(tmp_path):
     assert err.value.line_no == 3
 
 
+def test_a_trace_that_is_not_utf8_names_its_file_and_line(tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes("# café\n0,10\n".encode("utf-8") + b"1000,2\xe90\n2000,5\n")
+    with pytest.raises(TraceParseError) as err:
+        parse_trace(trace)
+    assert (err.value.path, err.value.line_no, err.value.reason) == (str(trace), 3, "not UTF-8")
+
+
+@pytest.mark.parametrize("text, line_no", [(f"0,1\n{2**63},1\n", 2), (f"{-2**63 - 1},1\n", 1)])
+def test_a_timestamp_outside_64_bits_is_a_parse_error(tmp_path, text, line_no):
+    trace = tmp_path / "t.csv"
+    trace.write_text(text, encoding="utf-8")
+    with pytest.raises(TraceParseError, match="outside the 64-bit range") as err:
+        parse_trace(trace)
+    assert err.value.line_no == line_no
+
+
+def test_the_64_bit_bounds_themselves_parse(tmp_path):
+    trace = write_trace(tmp_path / "t.csv", [(-2**63, 1.0), (2**63 - 1, 2.0)])
+    assert pairs_of(parse_trace(trace)) == [(-2**63, 1.0), (2**63 - 1, 2.0)]
+
+
+_COMMENT_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_STAMP_FORMS = st.sampled_from([str, lambda t: f"+{t}" if t >= 0 else str(t), lambda t: f"{t:_}"])
+_WATTS = st.one_of(st.sampled_from(["+5", "1_000", "0", "2.5e1", "-0.0", "7."]), st.floats(0, 1e6).map(repr))
+
+
+@st.composite
+def valid_trace_text(draw) -> str:
+    """Trace text every line of which parses: samples with increasing
+    stamps in several spellings, padded and perhaps ending in CR, among
+    comments and blank lines; the last line may lack its LF."""
+    lines = []
+    t = draw(st.integers(-10**6, 10**6))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["sample", "sample", "comment", "blank"]))
+        if kind == "comment":
+            lines.append("#" + draw(st.text(_COMMENT_CHARS, max_size=8)))
+        elif kind == "blank":
+            lines.append("")
+        else:
+            stamp, watts = draw(_STAMP_FORMS)(t), draw(_WATTS)
+            pads = [draw(_PAD) for _ in range(4)]
+            cr = draw(st.sampled_from(["", "\r"]))
+            lines.append(f"{pads[0]}{stamp}{pads[1]},{pads[2]}{watts}{pads[3]}{cr}")
+            t += draw(st.integers(1, 5000))
+    return "\n".join(lines) + (draw(st.sampled_from(["\n", ""])) if lines else "")
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(
+        [",", "-", "+", ".", "_", "e", " ", "\r", "\t", "#", "nan", "inf", "x", "\u0663", "\u2028", "\x0b",
+         "\x1c", "\n", "\n", "0,5\n"]
+    ),
+    st.integers(0, 999).map(str),
+)
+# no run of digits long enough to leave the 64-bit range, which the row
+# parser accepted and the column parser refuses (tested above)
+_SOUP = st.lists(_TOKENS, max_size=30).map("".join).filter(lambda text: not re.search(r"[\d_]{19}", text))
+
+
+def parse_both(text: str):
+    """Both parsers over a file holding ``text``: the column parser's
+    series and the row parser's pairs, or the TraceParseError each raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "t.csv"
+        trace.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for parse in (parse_trace, parse_trace_rows):
+            try:
+                outcomes.append(parse(trace))
+            except TraceParseError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_trace_text())
+def test_parse_trace_reads_valid_text_as_the_row_parser_does(text):
+    series, rows = parse_both(text)
+    assert pairs_of(series) == rows
+    assert len(series) == len(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SOUP)
+@example("0,ten\n")
+@example("zero,10\n1,2")
+@example("0,1\n\u0663,2\r\n2,\u0663\u0663\n3,x\u2028")
+@example("0,1\n1,1\x1c\n2,\x0b3\n3,nan\n")
+@example("\r\n#c\n 1 , 2 \n1,3\n")
+def test_parse_trace_fails_where_the_row_parser_does_and_agrees_elsewhere(text):
+    outcome, expected = parse_both(text)
+    if isinstance(expected, TraceParseError):
+        assert isinstance(outcome, TraceParseError)
+        assert (outcome.line_no, str(outcome)) == (expected.line_no, str(expected))
+    else:
+        assert pairs_of(outcome) == expected
+
+
 def test_trace_dir_env_roots_relative_paths(tmp_path, monkeypatch):
     write_trace(tmp_path / "rel.csv", [(0, 42.0)])
     monkeypatch.setenv("CARBONLEDGER_TRACE_DIR", str(tmp_path))
     probe = open_probe(ProbeDescriptor("replay", ProbeKind.REPLAY, 1, "rel.csv"))
-    assert probe.read()[0].watts == 42.0
+    assert drain(probe) == {"replay0": [(0, 42.0)]}
 
 
 def test_replay_device_count_fans_out_sources(tmp_path):
     trace = write_trace(tmp_path / "t.csv", [(0, 100.0), (1000, 200.0)])
     probe = replay_probe(trace, device_count=2)
     first = probe.read()
-    assert [s.source_id for s in first] == ["replay0", "replay1"]
-    assert all(s.watts == 100.0 for s in first)
+    assert list(first.series) == ["replay0", "replay1"]
+    assert all(pairs_of(series) == [(0, 100.0), (1000, 200.0)] for series in first.series.values())
+    assert len(first) == 4  # samples over both sources
+    assert probe.read() is None
 
 
 def test_gpu_descriptor_two_devices_names_sources():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonledger.energy import integrate_energy
+from carbonledger.energy import average_power, integrate_energy
 from carbonledger.errors import UnknownPhase
 from carbonledger.probe import PowerSample
 from carbonledger.sampler import (
@@ -24,7 +24,16 @@ from carbonledger.sampler import (
     slice_window,
 )
 
-from conftest import constant_trace, event_stream, make_log, power_series, replay_probe, write_events, write_trace
+from conftest import (
+    constant_trace,
+    event_stream,
+    make_log,
+    pairs_of,
+    power_series,
+    replay_probe,
+    write_events,
+    write_trace,
+)
 
 MINIMAL_RUN = [
     "TRAIN_START 0",
@@ -277,6 +286,86 @@ def test_run_sampler_orders_samples_from_several_probes(tmp_path):
         (0, "replay0"), (1000, "a0"), (1000, "replay0"), (2000, "a0"), (2000, "replay0"), (2000, "replay0"),
         (3000, "replay0"),
     ]
+
+
+class KeepingProbe:
+    """Delegates to a probe and keeps every reading it hands over."""
+
+    def __init__(self, inner):
+        self.inner, self.descriptor, self.source_ids = inner, inner.descriptor, inner.source_ids
+        self.readings = []
+
+    def read(self):
+        reading = self.inner.read()
+        if reading is not None:
+            self.readings.append(reading)
+        return reading
+
+
+def test_merging_a_shared_source_id_leaves_each_probe_series_whole(tmp_path):
+    first = write_trace(tmp_path / "a.csv", [(0, 10.0), (2000, 20.0)])
+    second = write_trace(tmp_path / "b.csv", [(1000, 15.0), (2000, 25.0)])
+    probes = [KeepingProbe(replay_probe(first)), KeepingProbe(replay_probe(second))]
+    log = run_sampler(probes, 1000, write_events(tmp_path / "e.log", MINIMAL_RUN), stop_condition=lambda: True)
+    (a,), (b,) = (probe.readings for probe in probes)
+    assert pairs_of(a.series["replay0"]) == [(0, 10.0), (2000, 20.0)]
+    assert pairs_of(b.series["replay0"]) == [(1000, 15.0), (2000, 25.0)]
+    assert pairs_of(log.series["replay0"]) == [(0, 10.0), (1000, 15.0), (2000, 20.0), (2000, 25.0)]
+
+
+def test_a_hardware_probe_reading_a_replayed_source_id_adds_to_it(tmp_path):
+    from carbonledger.probe import ProbeDescriptor, ProbeKind, open_probe
+
+    trace = write_trace(tmp_path / "t.csv", [(0, 10.0), (1000, 20.0)])
+    replay = KeepingProbe(replay_probe(trace, name="gpu"))
+    hardware = open_probe(ProbeDescriptor("gpu", ProbeKind.GPU, 1), reader=lambda i: 55.0)
+    log = run_sampler([replay, hardware], 1000, write_events(tmp_path / "e.log", MINIMAL_RUN), lambda: True)
+    samples = pairs_of(log.series["gpu0"])
+    assert samples[:2] == [(0, 10.0), (1000, 20.0)] and {w for _, w in samples[2:]} == {55.0}
+    assert len(samples) >= 3
+    assert pairs_of(replay.readings[0].series["gpu0"]) == [(0, 10.0), (1000, 20.0)]
+
+
+def test_a_replay_only_run_builds_no_power_sample(tmp_path, monkeypatch):
+    built = []
+    post_init = PowerSample.__post_init__
+
+    def counting(self) -> None:
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PowerSample, "__post_init__", counting)
+    trace = constant_trace(tmp_path / "t.csv", 250.0, 60_000)
+    events = write_events(tmp_path / "e.log", MINIMAL_RUN)
+    probes = [replay_probe(trace, 2), replay_probe(trace, name="a")]
+    snapshots = []
+    log = run_sampler(probes, 1000, events, stop_condition=lambda: True, on_tick=snapshots.append)
+    integrate_energy(log, 1.55)
+    assert len(snapshots) == 1 and len(log.series) == 3
+    assert built == []
+    PowerSample("x", 0, 1.0)
+    assert len(built) == 1  # the count does see a construction
+
+
+def test_a_fanned_out_replay_shares_one_series_and_builds_its_terms_once(tmp_path, monkeypatch):
+    from carbonledger import energy
+
+    segments = []
+    segment_kwh = energy.segment_kwh
+
+    def counting(*args) -> float:
+        segments.append(args)
+        return segment_kwh(*args)
+
+    monkeypatch.setattr(energy, "segment_kwh", counting)
+    trace = constant_trace(tmp_path / "t.csv", 250.0, 10_000)  # 11 samples, 10 segments
+    events = write_events(tmp_path / "e.log", MINIMAL_RUN)
+    log = run_sampler([replay_probe(trace, 4)], 1000, events, stop_condition=lambda: True)
+    assert log.sources() == ("replay0", "replay1", "replay2", "replay3")
+    assert len({id(series) for series in log.series.values()}) == 1
+    assert integrate_energy(log, 1.0).raw_kwh == pytest.approx(4 * 250.0 * 10 / 3_600_000)
+    average_power(log)
+    assert len(segments) == 10
 
 
 @settings(max_examples=200, deadline=None)
@@ -660,6 +749,31 @@ def test_run_sampler_wakes_when_its_wait_returns(tmp_path, monkeypatch):
     assert time.monotonic() - started < 5.0
     assert not timer.is_alive()
     assert log.epochs_completed() == 1
+
+
+def test_run_sampler_polls_every_20_ms_until_the_first_epoch_ends(tmp_path):
+    # The 100 ms bound holds before TRAIN_START and after the first
+    # EPOCH_END; between them it is 20 ms. A shorter interval wins.
+    trace = write_trace(tmp_path / "t.csv", [(0, 10.0), (1000, 10.0)])
+    events = tmp_path / "e.log"
+
+    def pauses_of(interval_ms: int) -> list[float]:
+        events.write_text("", encoding="utf-8")
+        pauses: list[float] = []
+
+        def wait(seconds: float) -> None:
+            pauses.append(seconds)
+            # TRAIN_START and EPOCH_START 1 after the first pause, the rest after the third
+            lines = {1: MINIMAL_RUN[:2], 3: MINIMAL_RUN[2:]}.get(len(pauses), [])
+            with open(events, "a", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+
+        log = run_sampler([replay_probe(trace)], interval_ms, events, stop_condition=lambda: len(pauses) == 5, wait=wait)
+        assert log.epochs_completed() == 1
+        return pauses
+
+    assert pauses_of(1000) == [0.1, 0.02, 0.02, 0.1, 0.1]
+    assert pauses_of(10) == [0.01] * 5
 
 
 def test_run_sampler_rejects_non_positive_interval(tmp_path):
