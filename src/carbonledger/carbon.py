@@ -118,25 +118,22 @@ def load_intensity_registry(path: str | Path | None = None) -> dict[str, CarbonI
     registry = dict(BUILT_IN_INTENSITIES)
     if path is None:
         return registry
-    seen: set[str] = set()
-    text = RegistryParseError.decode(path, Path(path).read_bytes())
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line or line.startswith("#"):
-            continue
+    name, seen = str(path), set[str]()
+    for line_no, line in RegistryParseError.lines(name):
         parts = line.split(",")
         if len(parts) != 4:
-            raise RegistryParseError(str(path), line_no, f"expected 4 columns, got {len(parts)}")
+            raise RegistryParseError(name, line_no, f"expected 4 columns, got {len(parts)}")
         region, grams_text, source, as_of_text = (p.strip() for p in parts)
         if not region:
-            raise RegistryParseError(str(path), line_no, "empty region code")
+            raise RegistryParseError(name, line_no, "empty region code")
         if region in seen:
-            raise DuplicateRegion(f"{path}:{line_no}: region {region} appears twice")
+            raise DuplicateRegion(name, line_no, f"region {region} appears twice")
         try:
             grams = float(grams_text)
             as_of = datetime.date.fromisoformat(as_of_text)
             entry = CarbonIntensity(region, grams, source, as_of)
         except ValueError as exc:
-            raise RegistryParseError(str(path), line_no, str(exc)) from exc
+            raise RegistryParseError(name, line_no, str(exc)) from exc
         seen.add(region)
         registry[region] = entry
     return registry

@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 child/workload failure, 2 usage or config error.
 Config precedence everywhere: flags > environment variables (only the
 ledger and registry keys have one) > config file > built-in defaults.
 ``CARBONLEDGER_EVENTS`` is set for the child, never read. The config file
-is flat ``key = value`` text (keys: label, region, pue, interval_ms,
-probe, ledger, events, registry, planned_epochs, car_factor).
+is flat ``key = value`` text (keys, any other a bad line: label, region,
+pue, interval_ms, probe, ledger, events, registry, planned_epochs, car_factor).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import uuid
 from pathlib import Path
 
 from . import carbon, energy, forecast, ledger
-from .errors import BackendUnavailable, CarbonLedgerError, UsageError
+from .errors import BackendUnavailable, CarbonLedgerError, ConfigParseError, UsageError
 from .probe import Probe, ProbeDescriptor, ProbeKind, open_probe
 from .sampler import EVENTS_ENV, SampleLog, run_sampler
 
@@ -51,6 +51,7 @@ _DEFAULTS = {
     "planned_epochs": 50,
     "car_factor": carbon.DEFAULT_CAR_KG_PER_KM,
 }
+_CONFIG_KEYS = {*_DEFAULTS, "probe", "events", "registry"}
 
 
 def parse_probe_spec(spec: str, index: int) -> ProbeDescriptor:
@@ -78,20 +79,19 @@ def parse_probe_spec(spec: str, index: int) -> ProbeDescriptor:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` config; # comments and blank lines skipped."""
+    """Flat ``key = value`` config read through ``ConfigParseError.lines``; each
+    line is stripped, so indented comments and whitespace-only lines skip too."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise UsageError(f"{path}:{line_no}: expected 'key = value'")
-                values[key.strip()] = value.strip()
-        except UnicodeDecodeError as exc:
-            raise UsageError(str(exc)) from None
+    for line_no, raw in ConfigParseError.lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigParseError(str(path), line_no, "expected 'key = value'")
+        if key not in _CONFIG_KEYS:
+            raise ConfigParseError(str(path), line_no, f"unknown key {key!r}")
+        values[key] = value
     return values
 
 

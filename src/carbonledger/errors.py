@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one reader of
+line files: trace, registry, config, triples and templates are each read
+through ``FileLineError.lines``, so a bad line is always ``file:line: reason``.
 
 Every error a caller is expected to branch on gets its own class; plain
 ValueError is reserved for bad in-memory arguments (negative watts,
@@ -7,7 +9,9 @@ non-positive run parameters, probabilities outside (0, 1)).
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
+from typing import Iterable, Iterator
 
 
 class CarbonLedgerError(Exception):
@@ -32,18 +36,33 @@ class FileLineError(CarbonLedgerError):
         self.reason = reason
 
     @classmethod
-    def decode(cls, path: str | Path, data: bytes) -> str:
-        """The text of the file at ``path``, whose bytes are ``data``, decoded
-        from UTF-8 in one step; bytes that are not UTF-8 raise this class,
-        naming the line they are on."""
+    def lines(cls, path: str | Path) -> Iterator[tuple[int, str]]:
+        """The content lines of the file at ``path``, as ``content_lines``
+        streams them. Bytes that are not UTF-8 raise this class at the call,
+        naming their line: the file is decoded here, once, split on LF only."""
+        data = Path(path).read_bytes()
         try:
-            return data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise cls(str(path), data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+        return content_lines(io.StringIO(text, newline="\n"))
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line_no, text)`` per content line: numbered from 1, the trailing
+    LF dropped, lines that are empty or start with ``#`` skipped."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 class TraceParseError(FileLineError):
     """A replay trace file has a malformed or out-of-order line."""
+
+
+class ConfigParseError(FileLineError, UsageError):
+    """A run config line is not ``key = value`` or names an unknown key."""
 
 
 class TransientReadFailure(CarbonLedgerError):
@@ -58,12 +77,12 @@ class InsufficientSamples(CarbonLedgerError):
     """Too few samples to compute a time-weighted average."""
 
 
-class DuplicateRegion(CarbonLedgerError):
-    """The same region code appears twice in one intensity registry file."""
-
-
 class RegistryParseError(FileLineError):
     """An intensity registry row is malformed."""
+
+
+class DuplicateRegion(RegistryParseError):
+    """The same region code appears twice in one intensity registry file."""
 
 
 class NoCompletedEpochs(CarbonLedgerError):
@@ -90,13 +109,8 @@ class UnknownBaseline(CarbonLedgerError):
     """compare() was given a baseline id that matches no record."""
 
 
-class MalformedRow(CarbonLedgerError):
-    """A triple TSV row is malformed (strict mode)."""
-
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
+class MalformedRow(FileLineError):
+    """A triple or template TSV row is malformed (triples: strict mode only)."""
 
 
 class UnknownRelation(CarbonLedgerError):

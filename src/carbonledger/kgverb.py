@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import MalformedRow, UnknownRelation
+from .errors import MalformedRow, UnknownRelation, content_lines
 
 SENTINEL = "<extra_id_{}>"
 DEFAULT_MASK_PROBABILITY = 0.15
@@ -76,13 +76,19 @@ def parse_triples(lines: Iterable[str], strict: bool = True) -> list[WeightedTri
     """Parse TSV rows into triples, preserving input order.
 
     In strict mode a malformed row raises MalformedRow with its line
-    number; otherwise the row is skipped.
+    number (in the path ``<lines>``); otherwise the row is skipped.
     """
+    return _triples("<lines>", content_lines(lines), strict)
+
+
+def load_triples(path: str | Path, strict: bool = True) -> list[WeightedTriple]:
+    """``parse_triples`` over the file read through ``MalformedRow.lines``."""
+    return _triples(str(path), MalformedRow.lines(path), strict)
+
+
+def _triples(path: str, numbered: Iterable[tuple[int, str]], strict: bool) -> list[WeightedTriple]:
     triples: list[WeightedTriple] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in numbered:
         parts = line.split("\t")
         try:
             if len(parts) != 4:
@@ -90,28 +96,19 @@ def parse_triples(lines: Iterable[str], strict: bool = True) -> list[WeightedTri
             triple = WeightedTriple(parts[0], parts[1], parts[2], float(parts[3]))
         except ValueError as exc:
             if strict:
-                raise MalformedRow(line_no, str(exc)) from exc
+                raise MalformedRow(path, line_no, str(exc)) from exc
             continue
         triples.append(triple)
     return triples
 
 
-def load_triples(path: str | Path, strict: bool = True) -> list[WeightedTriple]:
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        return parse_triples(fh, strict=strict)
-
-
 def load_templates(path: str | Path) -> TemplateTable:
     templates: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedRow(line_no, f"expected 2 fields, got {len(parts)}")
-            templates[parts[0]] = parts[1]
+    for line_no, line in MalformedRow.lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedRow(str(path), line_no, f"expected 2 fields, got {len(parts)}")
+        templates[parts[0]] = parts[1]
     return TemplateTable(templates)
 
 

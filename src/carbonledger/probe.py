@@ -27,7 +27,6 @@ be handed between threads but never shared concurrently.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import shutil
@@ -97,20 +96,15 @@ class ProbeDescriptor:
 def parse_trace(path: str | Path) -> SourceSeries:
     """Parse a trace file into one series: a timestamp and a watts column.
 
-    The file is decoded from UTF-8 once, then read line by line, split on
-    LF only. Raises TraceParseError (with line number) on bytes that are
-    not UTF-8, malformed lines, negative or non-finite watts, timestamps
-    outside the 64-bit range, and non-increasing timestamps.
+    The file is read through ``TraceParseError.lines``. Raises
+    TraceParseError (with line number) on bytes that are not UTF-8,
+    malformed lines, negative or non-finite watts, timestamps outside the
+    64-bit range, and non-increasing timestamps.
     """
-    resolved = resolve_trace_path(path)
-    name = str(resolved)
-    text = TraceParseError.decode(name, resolved.read_bytes())
+    name = str(resolve_trace_path(path))
     stamps, watts_column = array("q"), array("d")
     previous = None
-    for line_no, raw in enumerate(io.StringIO(text, newline="\n"), start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in TraceParseError.lines(name):
         parts = line.split(",")
         if len(parts) != 2:
             raise TraceParseError(name, line_no, f"expected 2 fields, got {len(parts)}")

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import kgverb
+from .errors import CarbonLedgerError
 from .sampler import EVENTS_ENV
 
 DEFAULT_MAX_EPOCHS = 50
@@ -227,12 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         result = run_workload(config)
-    except (OSError, ValueError) as exc:
+    except (CarbonLedgerError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except Exception as exc:  # malformed triples etc.
-        print(str(exc), file=sys.stderr)
-        return 1
     reason = "early stop" if result.stopped_early else "max epochs"
     print(
         f"corpus {result.corpus_size} sentences; {result.epochs_run} epoch(s) ({reason}); "

@@ -129,6 +129,15 @@ def test_registry_duplicate_region_rejected(tmp_path):
         load_intensity_registry(path)
 
 
+def test_duplicate_region_is_a_named_registry_line(tmp_path):
+    path = tmp_path / "registry.csv"
+    path.write_text("# two\nFR,60,a,2024-01-01\nFR,61,b,2024-01-01\n", encoding="utf-8")
+    with pytest.raises(RegistryParseError) as err:
+        load_intensity_registry(path)
+    assert type(err.value) is DuplicateRegion
+    assert str(err.value) == f"{path}:3: region FR appears twice"
+
+
 def test_registry_file_overrides_builtin(tmp_path):
     path = tmp_path / "registry.csv"
     path.write_text("DE,401,ember,2024-01-01\nFR,60,ember,2024-01-01\n", encoding="utf-8")

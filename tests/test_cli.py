@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from carbonledger.cli import load_config_file, main, parse_probe_spec
+from carbonledger.errors import ConfigParseError
 from carbonledger.energy import MS_PER_HOUR
 from carbonledger.ledger import read_records
 from carbonledger.probe import ProbeKind
@@ -90,6 +91,25 @@ def test_config_file_parsing(tmp_path):
         load_config_file(config)
 
 
+def test_config_splits_on_lf_only_and_strips_a_crlf(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"# demo\r\nlabel = nightly\r\n\r\n  # indented\r\npue = 1.2\r\n")
+    assert load_config_file(config) == {"label": "nightly", "pue": "1.2"}
+    config.write_bytes(b"label = a\rpue = 2.0\n")
+    assert load_config_file(config) == {"label": "a\rpue = 2.0"}
+
+
+def test_config_takes_exactly_the_ten_documented_keys(tmp_path):
+    keys = "label region pue interval_ms probe ledger events registry planned_epochs car_factor".split()
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{key} = v\n" for key in keys), encoding="utf-8")
+    assert load_config_file(config) == dict.fromkeys(keys, "v")
+    config.write_text("label = x\n peu = 2.0\n", encoding="utf-8")
+    with pytest.raises(ConfigParseError) as err:
+        load_config_file(config)
+    assert (err.value.path, err.value.line_no, err.value.reason) == (str(config), 2, "unknown key 'peu'")
+
+
 def rejected_before_spawn(tmp_path: Path, run_args: list[str]) -> bool:
     """Run the tracker with ``run_args``; True if it exited 2 with no
     ledger written and without starting its child."""
@@ -137,11 +157,18 @@ def test_run_malformed_config_exits_two(tmp_path, capsys, text, named):
     assert named in capsys.readouterr().err
 
 
+def test_run_config_with_an_unknown_key_exits_two_before_spawning(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("label = x\npeu = 2.0\n", encoding="utf-8")
+    assert rejected_before_spawn(tmp_path, ["--config", str(config)])
+    assert f"{config}:2: unknown key 'peu'" in capsys.readouterr().err
+
+
 def test_run_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_bytes(b"label = caf\xe9\n")
     assert rejected_before_spawn(tmp_path, ["--config", str(config)])
-    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    assert f"{config}:1: not UTF-8" in capsys.readouterr().err
 
 
 def test_run_with_a_trace_that_is_not_utf8_names_it_before_spawning(tmp_path, capsys):

@@ -49,6 +49,18 @@ def test_parse_three_fields_strict_raises_with_line_number():
     assert err.value.line_no == 2
 
 
+def test_malformed_row_names_its_file_or_lines(tmp_path):
+    with pytest.raises(MalformedRow) as err:
+        parse_triples(["# header", "a\tIsA\tb\tx"])
+    assert str(err.value) == "<lines>:2: could not convert string to float: 'x'"
+    path = tmp_path / "t.tsv"
+    path.write_text("a\tIsA\tb\t1\n\na\tIsA\tb\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        load_triples(path)
+    assert str(err.value) == f"{path}:3: expected 4 fields, got 3"
+    assert load_triples(path, strict=False) == [WeightedTriple("a", "IsA", "b", 1.0)]
+
+
 def test_parse_lenient_skips_bad_rows():
     lines = ["a\tIsA\tb\t1", "broken row", "c\tIsA\td\tnot_a_number", "e\tIsA\tf\t2"]
     triples = parse_triples(lines, strict=False)

@@ -4,7 +4,11 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import carbonledger
+from carbonledger import carbon, cli, kgverb, probe
+from carbonledger.errors import ConfigParseError, MalformedRow, RegistryParseError, TraceParseError
 
 PACKAGE_DIR = Path(carbonledger.__file__).resolve().parent
 
@@ -43,3 +47,71 @@ def test_ledger_imports_only_carbon_and_errors_from_the_package():
             imported.update([alias.name for alias in node.names] if node.module is None else [node.module])
     assert imported == {"carbon", "errors"}
     assert forecast.PhaseSummary is ledger.PhaseSummary is carbonledger.PhaseSummary
+
+
+READERS = {
+    "trace": (probe.parse_trace, TraceParseError, b"0,1\n", b"1000,caf\xe9\n"),
+    "registry": (carbon.load_intensity_registry, RegistryParseError, b"FR,60,a,2024-01-01\n", b"DE,3,\xe9,2022-01-01\n"),
+    "config": (cli.load_config_file, ConfigParseError, b"label = x\n", b"region = caf\xe9\n"),
+    "triples": (kgverb.load_triples, MalformedRow, b"a\tIsA\tb\t1\n", b"caf\xe9\tIsA\tb\t2\n"),
+    "templates": (kgverb.load_templates, MalformedRow, b"IsA\t{s} is {o}\n", b"PartOf\t{s} \xff {o}\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_line_file_reader_names_bytes_that_are_not_utf8(tmp_path, reader):
+    read, error, good, bad = READERS[reader]
+    path = tmp_path / f"{reader}.txt"
+    path.write_bytes(good + b"# comment\n\n" + bad + good)
+    with pytest.raises(error) as err:
+        read(path)
+    assert type(err.value) is error
+    assert (err.value.path, err.value.line_no, err.value.reason) == (str(path), 4, "not UTF-8")
+    assert str(err.value) == f"{path}:4: not UTF-8"
+    with pytest.raises(error):
+        error.lines(path)  # at the call, before a line is read
+    path.write_bytes(good + b"# caf\xe9\n" + good)
+    with pytest.raises(error) as err:
+        read(path)  # a comment is decoded too
+    assert err.value.line_no == 2
+
+
+def _calls(tree: ast.AST, scope: str = ""):
+    """(enclosing class/function path, call node) for every call in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            yield scope, node
+        yield from _calls(node, inner)
+
+
+def _decodes_or_reads_text(call: ast.Call) -> bool:
+    """True for ``x.decode("utf-8")``/``x.decode()`` and for an ``open``
+    (builtin or method) whose mode reads text."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "decode":
+        codec = call.args[0].value if call.args and isinstance(call.args[0], ast.Constant) else "utf-8"
+        return str(codec).lower().replace("_", "-") in ("utf-8", "utf8")
+    if name != "open" or (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"):
+        return False
+    mode_at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode) or path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[mode_at : mode_at + 1]
+    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+    return "b" not in mode and ("r" in mode or "+" in mode)
+
+
+def test_only_the_line_reader_event_tail_and_ledger_scan_decode_text():
+    """A line file is decoded in one place, ``FileLineError.lines``. The event
+    tail and ``scan_ledger`` decode line by line on purpose: a bad line there
+    is counted or reported, not fatal."""
+    allowed = ("errors.py:", "sampler.py:_EventTail.", "ledger.py:scan_ledger")
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{scope}"
+            if _decodes_or_reads_text(call) and not where.startswith(allowed):
+                found.append(f"{where} line {call.lineno}")
+    assert found == []

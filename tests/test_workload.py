@@ -225,3 +225,28 @@ def test_cli_main_custom_templates(tmp_path, triples_file, monkeypatch, capsys):
     assert "refrigerator sits in kitchen" in text
     # relations without a template in the custom table are skipped
     assert "oven" not in text
+
+
+@pytest.mark.parametrize(
+    "triples, templates, line_no, reason",
+    [
+        (b"a\tIsA\tb\t1\na\tIsA\tb\n", None, 2, "expected 4 fields, got 3"),
+        (b"# caf\xe9\na\tIsA\tb\t1\n", None, 1, "not UTF-8"),
+        (b"a\tIsA\tb\t1\n", b"# ok\nIsA {s} is {o}\n", 2, "expected 2 fields, got 1"),
+        (b"a\tIsA\tb\t1\n", b"IsA\t{s} is {o}\nPartOf\t{s} \xff {o}\n", 2, "not UTF-8"),
+    ],
+    ids=["malformed-triples", "triples-not-utf8", "malformed-templates", "templates-not-utf8"],
+)
+def test_cli_main_bad_input_file_exits_two_naming_file_and_line(
+    tmp_path, monkeypatch, capsys, triples, templates, line_no, reason
+):
+    monkeypatch.setenv("CARBONLEDGER_EVENTS", str(tmp_path / "e.log"))
+    paths = {"triples": tmp_path / "t.tsv", "templates": tmp_path / "templates.tsv"}
+    paths["triples"].write_bytes(triples)
+    args = ["--triples", str(paths["triples"]), "--max-epochs", "1", "--virtual-start-ms", "0"]
+    if templates is not None:
+        paths["templates"].write_bytes(templates)
+        args += ["--templates", str(paths["templates"])]
+    bad = paths["triples" if templates is None else "templates"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"{bad}:{line_no}: {reason}\n"
