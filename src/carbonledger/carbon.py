@@ -25,6 +25,12 @@ DEFAULT_CAR_KG_PER_KM = 0.1206
 #: metric tons CO2e per round flight between London and New York.
 DEFAULT_FLIGHT_TONS_PER_ROUND_TRIP = 0.8333
 
+#: Facility overhead multiplier (PUE) used as the default; annual average
+#: for a German data center. ``energy`` applies it; it lives here, beside
+#: the other configured defaults, so a command can name it without
+#: loading ``energy``.
+DEFAULT_PUE = 1.55
+
 
 @dataclass(frozen=True)
 class CarbonIntensity:

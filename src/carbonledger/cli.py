@@ -14,27 +14,34 @@ ledger and registry keys have one) > config file > built-in defaults.
 ``CARBONLEDGER_EVENTS`` is set for the child, never read. The config file
 is flat ``key = value`` text (keys, any other a bad line: label, region,
 pue, interval_ms, probe, ledger, events, registry, planned_epochs, car_factor).
+
+A launch loads only what its command runs. The module level holds what
+``main`` needs (``carbon`` and ``errors`` from the package); each command
+imports the rest itself. ``report`` adds ``ledger``; ``regions`` nothing
+more; ``predict`` adds ``forecast``. ``run`` adds ``probe`` (and so
+``energy``), ``subprocess`` and ``tempfile`` before it spawns the child, so
+a bad config, registry or probe still exits 2 with no child; ``sampler``,
+``forecast``, ``ledger``, ``threading`` and ``uuid`` it imports right after
+the spawn, where that work overlaps the child's own start-up and lands
+before the first tick of the sampler.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
 import math
 import os
-import signal
-import subprocess
 import sys
-import tempfile
-import threading
-import uuid
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import carbon, energy, forecast, ledger
+from . import EVENTS_ENV, carbon
 from .errors import BackendUnavailable, CarbonLedgerError, ConfigParseError, UsageError
-from .probe import Probe, ProbeDescriptor, ProbeKind, open_probe
-from .sampler import EVENTS_ENV, SampleLog, run_sampler
+
+if TYPE_CHECKING:
+    from .probe import Probe, ProbeDescriptor
+    from .sampler import SampleLog
 
 LEDGER_ENV = "CARBONLEDGER_LEDGER"
 REGISTRY_ENV = "CARBONLEDGER_REGISTRY"
@@ -45,7 +52,7 @@ _ENV_KEYS = {"ledger": LEDGER_ENV, "registry": REGISTRY_ENV}
 _DEFAULTS = {
     "label": "run",
     "region": "DE",
-    "pue": energy.DEFAULT_PUE,
+    "pue": carbon.DEFAULT_PUE,
     "interval_ms": 1000,
     "ledger": "carbonledger.jsonl",
     "planned_epochs": 50,
@@ -61,6 +68,8 @@ def parse_probe_spec(spec: str, index: int) -> ProbeDescriptor:
     N sources), ``gpu`` or ``gpu:N``, ``cpu``. ``index`` keeps source ids
     unique when the flag repeats.
     """
+    from .probe import ProbeDescriptor, ProbeKind
+
     kind, _, rest = spec.partition(":")
     base = kind if index == 0 else f"{kind}{chr(ord('a') + index - 1)}"
     if kind == "replay":
@@ -106,6 +115,8 @@ def _resolve(flag, config: dict[str, str], key: str):
 
 
 def _open_probes(specs: list[str], fallbacks: list[str]) -> list[Probe]:
+    from .probe import open_probe
+
     probes: list[Probe] = []
     failed = 0
     for i, spec in enumerate(specs):
@@ -138,6 +149,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
     """``run``; a temporary event file is removed by ``cleanup`` once the run ends."""
+    import datetime
+    import signal
+    import subprocess
+    import tempfile
+
     config = load_config_file(args.config) if args.config else {}
     pue = _number(float, args.pue, config, "pue")
     interval_ms = _number(int, args.interval_ms, config, "interval_ms")
@@ -198,6 +214,13 @@ def _run(args: argparse.Namespace, cleanup: contextlib.ExitStack) -> int:
 
     for signum in forwarded:
         signal.signal(signum, forward_interrupt)
+
+    # imported only now, so this work overlaps the child's interpreter start
+    import threading
+    import uuid
+
+    from . import forecast, ledger
+    from .sampler import run_sampler
 
     early: forecast.Forecast | None = None
 
@@ -263,6 +286,8 @@ def _write_stdout(data: bytes) -> None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render every readable record; each bad line is named on stderr and exits 2."""
+    from . import ledger
+
     ledger_path = _resolve(args.ledger, {}, "ledger")
     try:
         stored, errors = ledger.read_ledger(ledger_path, args.filter)
@@ -292,7 +317,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if args.region not in registry:
             raise UsageError(f"region {args.region!r} not in intensity registry")
         grams = registry[args.region].grams_per_kwh
-    predicted = forecast.Forecast(
+    from .forecast import Forecast
+
+    predicted = Forecast(
         basis_epochs=1,
         planned_epochs=args.epochs,
         includes_setup=True,

@@ -29,16 +29,13 @@ from itertools import chain, repeat
 from operator import sub
 from typing import TYPE_CHECKING
 
+from .carbon import DEFAULT_PUE
 from .errors import InsufficientSamples, UnknownPhase
 
 if TYPE_CHECKING:
     from .sampler import SampleLog
 
 MS_PER_HOUR = 3_600_000.0
-
-#: Facility overhead multiplier used as the default; annual average for a
-#: German data center.
-DEFAULT_PUE = 1.55
 
 #: A sampling gap larger than this many intervals is filled with the last
 #: value carried forward instead of a trapezoid, and flagged.

@@ -38,6 +38,13 @@ class WeightedTriple:
             raise ValueError("weight must be finite")
 
 
+def _template_fault(relation: str, template: str) -> str | None:
+    """Why ``template`` cannot render ``relation``, or None if it can."""
+    if template.count("{s}") != 1 or template.count("{o}") != 1:
+        return f"template for {relation!r} must contain {{s}} and {{o}} exactly once"
+    return None
+
+
 @dataclass(frozen=True)
 class TemplateTable:
     """relation -> sentence template; each template uses {s} and {o} once."""
@@ -46,8 +53,9 @@ class TemplateTable:
 
     def __post_init__(self) -> None:
         for relation, template in self.templates.items():
-            if template.count("{s}") != 1 or template.count("{o}") != 1:
-                raise ValueError(f"template for {relation!r} must contain {{s}} and {{o}} exactly once")
+            fault = _template_fault(relation, template)
+            if fault:
+                raise ValueError(fault)
 
     def __contains__(self, relation: str) -> bool:
         return relation in self.templates
@@ -103,11 +111,16 @@ def _triples(path: str, numbered: Iterable[tuple[int, str]], strict: bool) -> li
 
 
 def load_templates(path: str | Path) -> TemplateTable:
+    """A template file read through ``MalformedRow.lines``; each row is
+    checked as it is read, so a bad one is named ``file:line: reason``."""
     templates: dict[str, str] = {}
     for line_no, line in MalformedRow.lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise MalformedRow(str(path), line_no, f"expected 2 fields, got {len(parts)}")
+        fault = _template_fault(*parts)
+        if fault:
+            raise MalformedRow(str(path), line_no, fault)
         templates[parts[0]] = parts[1]
     return TemplateTable(templates)
 

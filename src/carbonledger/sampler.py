@@ -61,8 +61,6 @@ from .energy import SourceSeries
 from .errors import UnknownPhase
 from .probe import Probe, PowerSample, ProbeKind
 
-EVENTS_ENV = "CARBONLEDGER_EVENTS"
-
 # Poll the event file at least this often even when the sampling interval
 # is long: this bounds how late an EPOCH_END, and so the epoch-1 forecast,
 # is seen. The stop itself is seen at once when the pause wakes on it.
@@ -258,11 +256,12 @@ class _EventTail(_EventStream):
 
     def poll(self) -> bool:
         """Consume newly appended complete lines; True if one ended an epoch."""
-        if not self.path.exists():
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self._offset)
+                chunk = fh.read()
+        except FileNotFoundError:  # not written yet, or removed: no new lines
             return False
-        with open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            chunk = fh.read()
         if not chunk:
             return False
         self._offset += len(chunk)

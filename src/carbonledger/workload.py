@@ -3,9 +3,12 @@
 Builds a sentence corpus from weighted triples (parse, keep the heaviest,
 verbalize), then runs up to ``max_epochs`` passes of arithmetic over it,
 emitting the epoch-event protocol to the file named by the
-``CARBONLEDGER_EVENTS`` environment variable. Training stops early when
+``CARBONLEDGER_EVENTS`` environment variable (``carbonledger.EVENTS_ENV``,
+the one name the tracker sets). Training stops early when
 the synthetic validation loss fails to improve for ``patience``
 consecutive epochs; improvement means strictly lower than the best seen.
+From the package it imports only ``kgverb`` and ``errors``, so a tracked
+job loads none of the tracker's modules.
 
 There is no model here on purpose: the tracker needs a measurable,
 reproducible load, and per-epoch masking plus checksum arithmetic over
@@ -25,9 +28,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import kgverb
+from . import EVENTS_ENV, kgverb
 from .errors import CarbonLedgerError
-from .sampler import EVENTS_ENV
 
 DEFAULT_MAX_EPOCHS = 50
 DEFAULT_PATIENCE = 3

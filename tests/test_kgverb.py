@@ -168,6 +168,17 @@ def test_load_templates(tmp_path):
     assert verbalize(WeightedTriple("a", "R", "b", 1.0), table) == "a maps to b"
 
 
+@pytest.mark.parametrize("template", ["{s} is a thing", "{o} {o} {s}", "no placeholder"])
+def test_load_templates_names_the_row_that_breaks_the_placeholder_rule(tmp_path, template):
+    path = tmp_path / "t.tsv"
+    # the bad row is read before a good row after it
+    path.write_text(f"PartOf\t{{s}} is part of {{o}}\nIsA\t{template}\nAtLocation\t{{s}} in {{o}}\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        load_templates(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 2)
+    assert str(err.value) == f"{path}:2: template for 'IsA' must contain {{s}} and {{o}} exactly once"
+
+
 def test_verbalize_pipeline_reproducible(tmp_path, triples_file):
     from carbonledger.workload import WorkloadConfig, build_corpus
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,12 +12,90 @@ import carbonledger
 from carbonledger import carbon, cli, kgverb, probe
 from carbonledger.errors import ConfigParseError, MalformedRow, RegistryParseError, TraceParseError
 
+from conftest import make_record
+
 PACKAGE_DIR = Path(carbonledger.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in carbonledger.__all__ if not hasattr(carbonledger, name)]
     assert missing == []
+
+
+def _fresh(code: str, *argv: str) -> tuple[str, set[str]]:
+    """Run ``code`` with ``argv`` in a new ``python -S``; returns its output
+    and the modules it then holds. Nothing is timed."""
+    report = "\nimport sys\nprint(*sorted(sys.modules), file=sys.__stdout__)"
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CARBONLEDGER_")}
+    env["PYTHONPATH"] = str(PACKAGE_DIR.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code + report, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    *output, modules = proc.stdout.splitlines()
+    return "\n".join(output), set(modules.split())
+
+
+# What only run (and predict) may load: the measurement stack and the child's plumbing.
+RUN_ONLY = {
+    "carbonledger.sampler", "carbonledger.probe", "carbonledger.forecast", "carbonledger.energy",
+    "subprocess", "threading", "uuid",
+}
+
+
+@pytest.mark.parametrize("command", ["report text", "report csv", "report json", "regions"])
+def test_report_and_regions_load_no_measurement_stack(tmp_path, command):
+    from carbonledger import ledger
+
+    path = tmp_path / "ledger.jsonl"
+    ledger.append_record(path, make_record("guard"))
+    name, *fmt = command.split()
+    args = ["--ledger", str(path), "--format", *fmt] if fmt else []
+    output, loaded = _fresh("import sys\nfrom carbonledger import cli\nassert cli.main(sys.argv[1:]) == 0", name, *args)
+    assert ("guard" if fmt else "DE 380") in output
+    assert sorted(RUN_ONLY & loaded) == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    _, loaded = _fresh("import carbonledger")
+    assert sorted(name for name in loaded if name.startswith("carbonledger.")) == []
+
+
+def test_the_workload_loads_neither_sampler_probe_nor_subprocess():
+    _, loaded = _fresh("import carbonledger.workload")
+    assert sorted(loaded & {"carbonledger.sampler", "carbonledger.probe", "carbonledger.energy", "subprocess"}) == []
+
+
+def test_the_event_variable_is_named_once_and_shared():
+    defined = [
+        path.name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value == "CARBONLEDGER_EVENTS"
+    ]
+    assert defined == ["__init__.py"]
+    from carbonledger import workload
+
+    assert cli.EVENTS_ENV is workload.EVENTS_ENV is carbonledger.EVENTS_ENV == "CARBONLEDGER_EVENTS"
+
+
+def test_dir_lists_every_exported_name_before_any_is_used():
+    output, loaded = _fresh("import carbonledger\nprint(*dir(carbonledger))")
+    assert set(carbonledger.__all__) <= set(output.split())
+    assert "carbonledger.sampler" not in loaded
+
+
+def test_star_import_binds_every_exported_name():
+    code = "from carbonledger import *\nimport carbonledger\nprint(*[n for n in carbonledger.__all__ if n not in globals()])"
+    output, _ = _fresh(code)
+    assert output == ""
+
+
+def test_an_unknown_attribute_is_an_attribute_error_naming_it():
+    code = "import carbonledger\ntry:\n    carbonledger.no_such_name\nexcept AttributeError as exc:\n    print(exc)"
+    output, _ = _fresh(code)
+    assert output == "module 'carbonledger' has no attribute 'no_such_name'"
+    assert not hasattr(carbonledger, "no_such_name")
 
 
 def test_package_imports_only_stdlib_and_itself():

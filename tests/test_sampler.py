@@ -577,6 +577,21 @@ def test_tail_poll_inside_a_multibyte_character(tmp_path):
     assert tail.violations == 1  # the complete line that is not UTF-8
 
 
+def test_an_event_file_gone_at_the_open_is_no_new_lines(tmp_path, monkeypatch):
+    # the file is removed between an existence check and the open: make
+    # the check say it is there, so only the open can find it missing
+    trace = constant_trace(tmp_path / "t.csv", 50.0, 30, 10)
+    probes = [replay_probe(trace)]
+    monkeypatch.setattr(Path, "exists", lambda self, **kwargs: True)
+    tail = _EventTail(tmp_path / "gone.log")
+    assert tail.poll() is False
+    tail.finish()
+    assert (tail.events, tail.violations) == ([], 0)
+    log = run_sampler(probes, 10, tmp_path / "gone.log", stop_condition=lambda: True)
+    assert log.events == ()
+    assert log.warnings == ("no TRAIN_START observed",)
+
+
 def test_run_sampler_counts_malformed_event_lines(tmp_path):
     trace = constant_trace(tmp_path / "t.csv", 50.0, 30, 10)
     events = write_events(

@@ -234,8 +234,9 @@ def test_cli_main_custom_templates(tmp_path, triples_file, monkeypatch, capsys):
         (b"# caf\xe9\na\tIsA\tb\t1\n", None, 1, "not UTF-8"),
         (b"a\tIsA\tb\t1\n", b"# ok\nIsA {s} is {o}\n", 2, "expected 2 fields, got 1"),
         (b"a\tIsA\tb\t1\n", b"IsA\t{s} is {o}\nPartOf\t{s} \xff {o}\n", 2, "not UTF-8"),
+        (b"a\tIsA\tb\t1\n", b"# ok\nIsA\t{s} is a thing\n", 2, "template for 'IsA' must contain {s} and {o} exactly once"),
     ],
-    ids=["malformed-triples", "triples-not-utf8", "malformed-templates", "templates-not-utf8"],
+    ids=["malformed-triples", "triples-not-utf8", "malformed-templates", "templates-not-utf8", "template-placeholders"],
 )
 def test_cli_main_bad_input_file_exits_two_naming_file_and_line(
     tmp_path, monkeypatch, capsys, triples, templates, line_no, reason
